@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/str_util.h"
-#include "log/file_backend.h"
 
 namespace tpm {
 
@@ -51,19 +50,9 @@ CrossShardAgent::CrossShardAgent(
 CrossShardAgent::~CrossShardAgent() { Shutdown(); }
 
 Status CrossShardAgent::Init() {
-  switch (options_.log_mode) {
-    case ShardLogMode::kNone:
-      break;
-    case ShardLogMode::kMemory:
-      wal_ = std::make_unique<Wal>(/*synchronous=*/true);
-      break;
-    case ShardLogMode::kFile: {
-      TPM_ASSIGN_OR_RETURN(auto backend,
-                           FileStorageBackend::Open(options_.wal_path));
-      wal_ = std::make_unique<Wal>(std::move(backend), /*synchronous=*/true);
-      break;
-    }
-  }
+  TPM_ASSIGN_OR_RETURN(wal_, OpenRuntimeLog<Wal>(options_.log_mode,
+                                                  options_.wal_dir,
+                                                  "coordinator"));
   if (wal_ != nullptr && options_.crash_listener != nullptr) {
     renamer_ = std::make_unique<RenamingListener>(options_.crash_listener);
     wal_->SetCrashPointListener(renamer_.get());

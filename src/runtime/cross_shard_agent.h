@@ -86,7 +86,7 @@ class CrossShardAgent {
     /// §3.6 composite order between order-independent sub-processes.
     OrderMode span_order = OrderMode::kWeak;
     ShardLogMode log_mode = ShardLogMode::kMemory;
-    std::string wal_path;  // kFile only: <wal_dir>/coordinator.wal
+    std::string wal_dir;  // kFile only: the log is <wal_dir>/coordinator.wal
     /// Fault injection over the coordinator WAL; sites arrive renamed
     /// ("coordinator/append|sync|synced") plus "coordinator/decide".
     CrashPointListener* crash_listener = nullptr;

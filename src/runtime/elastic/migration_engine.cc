@@ -10,7 +10,6 @@
 #include "core/pred.h"
 #include "core/recoverability.h"
 #include "core/schedule.h"
-#include "log/file_backend.h"
 
 namespace tpm {
 
@@ -122,19 +121,8 @@ MigrationEngine::MigrationEngine(Options options)
 MigrationEngine::~MigrationEngine() { Shutdown(); }
 
 Status MigrationEngine::Init() {
-  switch (options_.log_mode) {
-    case ShardLogMode::kNone:
-      break;
-    case ShardLogMode::kMemory:
-      wal_ = std::make_unique<Wal>(/*synchronous=*/true);
-      break;
-    case ShardLogMode::kFile: {
-      TPM_ASSIGN_OR_RETURN(auto backend,
-                           FileStorageBackend::Open(options_.wal_path));
-      wal_ = std::make_unique<Wal>(std::move(backend), /*synchronous=*/true);
-      break;
-    }
-  }
+  TPM_ASSIGN_OR_RETURN(wal_, OpenRuntimeLog<Wal>(options_.log_mode,
+                                                  options_.wal_dir, "elastic"));
   if (wal_ != nullptr && options_.crash_listener != nullptr) {
     renamer_ = std::make_unique<RenamingListener>(options_.crash_listener);
     wal_->SetCrashPointListener(renamer_.get());

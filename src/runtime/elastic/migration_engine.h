@@ -79,7 +79,7 @@ class MigrationEngine {
  public:
   struct Options {
     ShardLogMode log_mode = ShardLogMode::kMemory;
-    std::string wal_path;  // kFile only
+    std::string wal_dir;  // kFile only: the log is <wal_dir>/elastic.wal
     CrashPointListener* crash_listener = nullptr;
     size_t buffer_capacity = 1024;
     TickMode mode = TickMode::kFreeRunning;

@@ -4,7 +4,6 @@
 #include <tuple>
 
 #include "common/str_util.h"
-#include "log/file_backend.h"
 #include "log/wal.h"
 
 namespace tpm {
@@ -167,18 +166,9 @@ Status ReplicaGroup::Init() {
 Status ReplicaGroup::InitReplica(int r) {
   Replica& rep = *replicas_[r];
   rep.index = r;
-  if (!options_.no_wal) {
-    if (options_.file_wal) {
-      const std::string path =
-          StrCat(options_.wal_dir, "/shard-", options_.shard_index,
-                 "-replica-", r, ".wal");
-      TPM_ASSIGN_OR_RETURN(auto backend, FileStorageBackend::Open(path));
-      rep.log = std::make_unique<RecoveryLog>(std::move(backend),
-                                              /*synchronous=*/true);
-    } else {
-      rep.log = std::make_unique<RecoveryLog>(/*synchronous=*/true);
-    }
-  }
+  TPM_ASSIGN_OR_RETURN(rep.log,
+                       OpenShardLog(options_.log_mode, options_.wal_dir,
+                                    options_.shard_index, r));
   SchedulerOptions scheduler_options = options_.scheduler;
   scheduler_options.clock = &rep.clock;
   rep.scheduler = std::make_unique<TransactionalProcessScheduler>(
@@ -256,11 +246,11 @@ void ReplicaGroup::Stop() {
     if (!started_ || stop_requested_) return;
     stop_requested_ = true;
     for (auto& round : rounds_) {
-      for (auto& entry : round->entries) {
-        if (!entry->fulfilled) {
-          entry->fulfilled = true;
+      for (size_t i = 0; i < round->submissions.size(); ++i) {
+        if (!round->fulfilled[i]) {
+          round->fulfilled[i] = true;
           fulfil.emplace_back(
-              std::move(entry->promise),
+              std::move(round->submissions[i].result),
               Result<ProcessId>(Status::Unavailable(
                   StrCat("shard ", options_.shard_index,
                          " replica group stopped before admission"))));
@@ -310,34 +300,17 @@ bool ReplicaGroup::IsIdle() const {
   return IsIdleLocked();
 }
 
-Status ReplicaGroup::WaitIdle() {
-  std::unique_lock<std::mutex> lock(gmu_);
-  cv_clients_.wait(lock, [&] {
-    return stop_requested_ || !error_.ok() || IsIdleLocked();
-  });
-  return error_;
-}
-
-bool ReplicaGroup::PendingWork() const {
-  std::lock_guard<std::mutex> lock(gmu_);
-  for (const auto& rep : replicas_) {
-    if (!rep->alive) continue;
-    if (rep->cursor < rounds_published_ || rep->has_work) return true;
-  }
-  return false;
-}
-
 void ReplicaGroup::CollectPrimaryBacklogLocked(std::vector<Fulfilment>* out) {
   const int p = primary_.load(std::memory_order_relaxed);
   const Replica& prim = *replicas_[p];
   for (int64_t index = base_round_; index < prim.cursor; ++index) {
     Round& round = *rounds_[index - base_round_];
-    for (auto& entry : round.entries) {
-      if (entry->fulfilled) continue;
-      auto it = entry->results.find(p);
-      if (it == entry->results.end()) continue;
-      entry->fulfilled = true;
-      out->emplace_back(std::move(entry->promise), it->second);
+    for (size_t i = 0; i < round.submissions.size(); ++i) {
+      if (round.fulfilled[i]) continue;
+      auto it = round.results[i].find(p);
+      if (it == round.results[i].end()) continue;
+      round.fulfilled[i] = true;
+      out->emplace_back(std::move(round.submissions[i].result), it->second);
     }
   }
 }
@@ -345,11 +318,11 @@ void ReplicaGroup::CollectPrimaryBacklogLocked(std::vector<Fulfilment>* out) {
 void ReplicaGroup::PruneRoundsLocked() {
   const int64_t min_cursor = MinLiveCursorLocked();
   while (!rounds_.empty() && base_round_ < min_cursor) {
-    const Round& front = *rounds_.front();
-    const bool all_fulfilled = std::all_of(
-        front.entries.begin(), front.entries.end(),
-        [](const std::unique_ptr<RoundEntry>& e) { return e->fulfilled; });
-    if (!all_fulfilled) break;
+    const std::vector<bool>& fulfilled = rounds_.front()->fulfilled;
+    if (std::find(fulfilled.begin(), fulfilled.end(), false) !=
+        fulfilled.end()) {
+      break;
+    }
     rounds_.pop_front();
     ++base_round_;
   }
@@ -389,10 +362,10 @@ void ReplicaGroup::MarkDeadLocked(int r, ReplicaState state,
              " replicas dead (last: replica ", r, " ",
              ReplicaStateName(state), ")"));
   for (auto& round : rounds_) {
-    for (auto& entry : round->entries) {
-      if (entry->fulfilled) continue;
-      entry->fulfilled = true;
-      fulfil->emplace_back(std::move(entry->promise),
+    for (size_t i = 0; i < round->submissions.size(); ++i) {
+      if (round->fulfilled[i]) continue;
+      round->fulfilled[i] = true;
+      fulfil->emplace_back(std::move(round->submissions[i].result),
                            Result<ProcessId>(error_));
     }
   }
@@ -449,14 +422,14 @@ Status ReplicaGroup::PublishRoundAndWait(std::vector<Submission> batch) {
 
 Status ReplicaGroup::PublishRoundInternal(std::vector<Submission> batch,
                                           bool wait_for_completion) {
-  std::unique_lock<std::mutex> lock(gmu_);
-  // Flow control: don't run further ahead of the slowest live replica
-  // than the window allows (bounds round memory and propagates
+  // Flow control: the shard worker runs at most this many rounds ahead of
+  // the slowest live replica (bounds round memory and propagates
   // backpressure to the submission queue).
+  constexpr int64_t kMaxRoundsAhead = 64;
+  std::unique_lock<std::mutex> lock(gmu_);
   cv_clients_.wait(lock, [&] {
     return stop_requested_ || !error_.ok() ||
-           rounds_published_ - MinLiveCursorLocked() <
-               options_.max_rounds_ahead;
+           rounds_published_ - MinLiveCursorLocked() < kMaxRoundsAhead;
   });
   if (stop_requested_ || !error_.ok()) {
     Status error = !error_.ok()
@@ -471,18 +444,9 @@ Status ReplicaGroup::PublishRoundInternal(std::vector<Submission> batch,
     return error;
   }
   auto round = std::make_shared<Round>();
-  round->entries.reserve(batch.size());
-  for (Submission& submission : batch) {
-    if (submission.def_owner != nullptr) {
-      retained_defs_.emplace(submission.def_owner.get(),
-                             std::move(submission.def_owner));
-    }
-    auto entry = std::make_unique<RoundEntry>();
-    entry->def = submission.def;
-    entry->param = submission.param;
-    entry->promise = std::move(submission.result);
-    round->entries.push_back(std::move(entry));
-  }
+  round->fulfilled.assign(batch.size(), false);
+  round->results.resize(batch.size());
+  round->submissions = std::move(batch);
   rounds_.push_back(std::move(round));
   const int64_t target = ++rounds_published_;
   counters_.rounds_published = rounds_published_;
@@ -503,57 +467,26 @@ Status ReplicaGroup::PublishRoundInternal(std::vector<Submission> batch,
 Result<bool> ReplicaGroup::ExecuteRound(
     Replica& rep, const Round* round, bool had_work,
     std::vector<Result<ProcessId>>* results) {
-  TransactionalProcessScheduler* scheduler = rep.scheduler.get();
-  bool admitted = false;
-  if (round != nullptr) {
-    results->reserve(round->entries.size());
-    if (options_.batched_admission && !round->entries.empty()) {
-      std::vector<TransactionalProcessScheduler::BatchSubmission> batch;
-      batch.reserve(round->entries.size());
-      for (const auto& entry : round->entries) {
-        batch.push_back({entry->def, entry->param});
-      }
-      std::vector<Result<ProcessId>> pids = scheduler->SubmitBatch(batch);
-      for (Result<ProcessId>& pid : pids) {
-        admitted = admitted || pid.ok();
-        results->push_back(std::move(pid));
-      }
-    } else {
-      for (const auto& entry : round->entries) {
-        Result<ProcessId> pid = scheduler->Submit(entry->def, entry->param);
-        admitted = admitted || pid.ok();
-        results->push_back(std::move(pid));
-      }
-    }
-  }
-  if (rep.log != nullptr && rep.log->wal()->crashed()) {
-    // The admission results are tainted by the crash (kUnavailable from a
-    // dead WAL is not a real refusal): discard everything and die.
-    return Status::Unavailable(
-        StrCat("replica ", rep.index, " WAL crashed during admission"));
-  }
-  bool has_work = had_work || admitted;
-  if (options_.lockstep) {
-    // Exactly one scheduling pass per round — bit-identical to the
-    // unreplicated shard's RunOnePass, which is what keeps lockstep
-    // replicated execution equal to the solo-scheduler reference.
-    if (has_work) {
-      Result<bool> more = scheduler->Step();
-      if (!more.ok()) return more.status();
-      has_work = *more;
-    }
-  } else {
-    // Free-running round: run to quiescence (capped), so vote boundaries
-    // land on deterministic quiescent states.
-    int64_t steps = 0;
-    while (has_work && steps < options_.replication.max_steps_per_round) {
-      Result<bool> more = scheduler->Step();
-      if (!more.ok()) return more.status();
-      has_work = *more;
-      ++steps;
-    }
-  }
-  if (rep.log != nullptr && rep.log->wal()->crashed()) {
+  static const std::vector<Submission> kNoSubmissions;
+  // Lockstep: exactly one scheduling pass per round — the unreplicated
+  // shard's pass, which is what keeps lockstep replicated execution equal
+  // to the solo-scheduler reference. Free-running: run to quiescence, so
+  // vote boundaries land on deterministic quiescent states.
+  Result<bool> has_work = AdmitAndStep(
+      *rep.scheduler, round != nullptr ? round->submissions : kNoSubmissions,
+      had_work, /*to_quiescence=*/!options_.lockstep,
+      [&](std::vector<Result<ProcessId>> pids) {
+        if (rep.log != nullptr && rep.log->wal()->crashed()) {
+          // The admission results are tainted by the crash (kUnavailable
+          // from a dead WAL is not a real refusal): discard everything
+          // and die.
+          return Status::Unavailable(
+              StrCat("replica ", rep.index, " WAL crashed during admission"));
+        }
+        *results = std::move(pids);
+        return Status::OK();
+      });
+  if (has_work.ok() && rep.log != nullptr && rep.log->wal()->crashed()) {
     return Status::Unavailable(
         StrCat("replica ", rep.index, " WAL crashed during a pass"));
   }
@@ -594,7 +527,7 @@ void ReplicaGroup::WorkerLoop(int r) {
     if (stop_requested_ || !rep.alive) break;
 
     // have_round == false only in free-running mode, when a previous
-    // round hit max_steps_per_round: continue stepping without a round.
+    // round hit AdmitAndStep's step cap: continue stepping without a round.
     const bool have_round = rep.cursor < rounds_published_;
     const int64_t round_index = rep.cursor;
     std::shared_ptr<Round> round =
@@ -626,8 +559,8 @@ void ReplicaGroup::WorkerLoop(int r) {
       ApplyVotesLocked(&events, &fulfil);
     } else {
       if (have_round) {
-        for (size_t i = 0; i < round->entries.size(); ++i) {
-          round->entries[i]->results.emplace(r, results[i]);
+        for (size_t i = 0; i < round->submissions.size(); ++i) {
+          round->results[i].emplace(r, results[i]);
         }
         rep.cursor = round_index + 1;
       }

@@ -19,6 +19,7 @@
 #include "common/virtual_clock.h"
 #include "core/scheduler.h"
 #include "log/recovery_log.h"
+#include "runtime/shard_core.h"
 #include "runtime/submission_queue.h"
 #include "runtime/voter.h"
 
@@ -46,9 +47,6 @@ struct ReplicationOptions {
   /// the scheduling work it triggers). Smaller = earlier detection, more
   /// digest traffic.
   int64_t vote_every_rounds = 8;
-  /// Free-running mode: per-round cap on scheduling passes (safety valve;
-  /// a round normally runs to quiescence).
-  int64_t max_steps_per_round = 1'000'000;
   /// Attached to `listener_replica`'s WAL — the fault-injection hook the
   /// kill-a-replica-at-every-crash-point sweep arms.
   CrashPointListener* replica_crash_listener = nullptr;
@@ -71,12 +69,12 @@ struct ReplicaGroupStats {
 
 /// R deterministic scheduler replicas behind one shard: private clock +
 /// private WAL each, fed the identical submission stream as numbered
-/// rounds by the shard's sequencer thread. Majority voting over state
+/// rounds by the shard's worker thread. Majority voting over state
 /// digests at epoch boundaries turns silent divergence into eviction, and
 /// killing the primary promotes a live follower with no WAL replay on the
 /// failover path — the follower already holds the full executed state.
 ///
-/// Protocol in one paragraph: the sequencer publishes each drained
+/// Protocol in one paragraph: the shard worker publishes each drained
 /// submission batch as a round; every live replica executes rounds in
 /// order on its own worker thread (lockstep: exactly one scheduling pass
 /// per round, bit-identical to the unreplicated shard; free-running: run
@@ -105,15 +103,9 @@ class ReplicaGroup {
     /// true = lockstep (one pass per round), false = free-running (run to
     /// quiescence per round).
     bool lockstep = false;
-    bool batched_admission = true;
-    /// kNone/kMemory use in-memory WALs; file mode opens
-    /// <wal_dir>/shard-<index>-replica-<r>.wal per replica.
-    bool file_wal = false;
-    bool no_wal = false;
+    /// Each replica's private WAL (see OpenShardLog).
+    ShardLogMode log_mode = ShardLogMode::kMemory;
     std::string wal_dir;
-    /// Free-running flow control: max rounds the sequencer may run ahead
-    /// of the slowest live replica before PublishRound blocks.
-    int64_t max_rounds_ahead = 64;
   };
 
   explicit ReplicaGroup(Options options);
@@ -167,26 +159,18 @@ class ReplicaGroup {
   /// Unavailable, releases scheduler affinities. Idempotent.
   void Stop();
 
-  /// Sequencer side: publishes the next round. Free-running — returns
-  /// once the round is enqueued (blocks only on the max_rounds_ahead flow
-  /// control window).
+  /// Shard-worker side: publishes the next round. Free-running — returns
+  /// once the round is enqueued (blocks only on the flow control window,
+  /// kMaxRoundsAhead).
   Status PublishRound(std::vector<Submission> batch);
 
-  /// Sequencer side, lockstep: publishes and blocks until every live
+  /// Shard-worker side, lockstep: publishes and blocks until every live
   /// replica completed the round (the tick barrier).
   Status PublishRoundAndWait(std::vector<Submission> batch);
 
   /// True iff every live replica consumed every published round and
   /// reports no remaining scheduler work.
   bool IsIdle() const;
-
-  /// Blocks until IsIdle() (or the group died). Returns the sticky group
-  /// error.
-  Status WaitIdle();
-
-  /// Whether any live replica still has scheduler work or unconsumed
-  /// rounds (the sequencer's wake predicate in free-running mode).
-  bool PendingWork() const;
 
   /// Runs `fn` on every live replica's worker thread against its own
   /// scheduler (Recover runs per replica against its private WAL) and
@@ -229,19 +213,16 @@ class ReplicaGroup {
   /// (replica, from, to) — collected under gmu_, fired after unlocking.
   using StateEvent = std::tuple<int, ReplicaState, ReplicaState>;
 
-  struct RoundEntry {
-    const ProcessDef* def = nullptr;
-    int64_t param = 0;
-    std::promise<Result<ProcessId>> promise;
-    bool fulfilled = false;
-    /// Admission result per replica. Only the acting primary's entry is
-    /// ever released to `promise` — a diverging follower's results stay
-    /// quarantined here until the round is pruned.
-    std::map<int, Result<ProcessId>> results;
-  };
-
+  /// One published queue drain. Every replica reads the submissions' def
+  /// and param outside gmu_; their promises, `fulfilled` and `results`
+  /// are touched only under gmu_.
   struct Round {
-    std::vector<std::unique_ptr<RoundEntry>> entries;
+    std::vector<Submission> submissions;
+    std::vector<bool> fulfilled;  // promise already set, per submission
+    /// Admission result per submission per replica. Only the acting
+    /// primary's result is ever released to the promise — a diverging
+    /// follower's results stay quarantined here until the round is pruned.
+    std::vector<std::map<int, Result<ProcessId>>> results;
   };
 
   /// Exactly-once observer gate: forwards events only while its replica
@@ -279,7 +260,7 @@ class ReplicaGroup {
   /// pre-round has_work flag, copied under the lock); returns the new
   /// has_work flag or the error that kills the replica. round == nullptr
   /// is a continuation pass (steps only, no admission) — free-running
-  /// replicas run those after a round hit max_steps_per_round.
+  /// replicas run those after a round hit AdmitAndStep's step cap.
   Result<bool> ExecuteRound(Replica& rep, const Round* round, bool had_work,
                             std::vector<Result<ProcessId>>* results);
   VoteDigest ComputeDigest(const Replica& rep,
@@ -320,10 +301,6 @@ class ReplicaGroup {
   StateChangeCallback on_state_change_;
   std::function<void(const Status&)> on_error_;
   std::function<void()> on_notify_;
-  /// Definitions whose ownership arrived with submissions; retained for
-  /// the group's lifetime (every replica scheduler keeps raw pointers).
-  std::map<const ProcessDef*, std::shared_ptr<const ProcessDef>>
-      retained_defs_;
   /// Conflicts in registration order, replayed onto respawned schedulers.
   std::vector<std::pair<ServiceId, ServiceId>> conflicts_;
 
@@ -331,7 +308,7 @@ class ReplicaGroup {
 
   mutable std::mutex gmu_;
   std::condition_variable cv_replicas_;  // wakes replica workers
-  std::condition_variable cv_clients_;   // wakes sequencer / idle waiters
+  std::condition_variable cv_clients_;   // wakes the shard worker / waiters
   std::deque<std::shared_ptr<Round>> rounds_;
   int64_t base_round_ = 0;  // absolute index of rounds_.front()
   int64_t rounds_published_ = 0;

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/str_util.h"
-#include "log/file_backend.h"
 
 namespace tpm {
 
@@ -25,27 +24,13 @@ Status RuntimeShard::Init() {
     group_options.replication = options_.replication;
     group_options.scheduler = options_.scheduler;
     group_options.lockstep = options_.mode == TickMode::kLockstep;
-    group_options.batched_admission = options_.batched_admission;
-    group_options.no_wal = options_.log_mode == ShardLogMode::kNone;
-    group_options.file_wal = options_.log_mode == ShardLogMode::kFile;
+    group_options.log_mode = options_.log_mode;
     group_options.wal_dir = options_.wal_dir;
     group_ = std::make_unique<ReplicaGroup>(std::move(group_options));
     return group_->Init();
   }
-  switch (options_.log_mode) {
-    case ShardLogMode::kNone:
-      break;
-    case ShardLogMode::kMemory:
-      log_ = std::make_unique<RecoveryLog>(/*synchronous=*/true);
-      break;
-    case ShardLogMode::kFile: {
-      TPM_ASSIGN_OR_RETURN(auto backend,
-                           FileStorageBackend::Open(options_.wal_path));
-      log_ = std::make_unique<RecoveryLog>(std::move(backend),
-                                           /*synchronous=*/true);
-      break;
-    }
-  }
+  TPM_ASSIGN_OR_RETURN(log_, OpenShardLog(options_.log_mode, options_.wal_dir,
+                                          options_.index, /*replica=*/-1));
   SchedulerOptions scheduler_options = options_.scheduler;
   scheduler_options.clock = &clock_;
   scheduler_ = std::make_unique<TransactionalProcessScheduler>(
@@ -68,20 +53,40 @@ RecoveryLog* RuntimeShard::log() {
   return log_.get();
 }
 
+Status RuntimeShard::RegisterSubsystem(Subsystem* subsystem) {
+  if (group_ != nullptr) return group_->RegisterSubsystem(0, subsystem);
+  return scheduler_->RegisterSubsystem(subsystem);
+}
+
+void RuntimeShard::AddConflict(ServiceId a, ServiceId b) {
+  if (group_ != nullptr) {
+    group_->AddConflict(a, b);
+  } else {
+    scheduler_->AddConflict(a, b);
+  }
+}
+
+void RuntimeShard::AddObserver(SchedulerObserver* observer) {
+  if (group_ != nullptr) {
+    group_->AddDownstreamObserver(observer);
+  } else {
+    scheduler_->AddObserver(observer);
+  }
+}
+
 void RuntimeShard::Start() {
   if (group_ != nullptr) {
     group_->SetErrorCallback(
         [this](const Status& status) { RecordError(status); });
     group_->SetNotifyCallback([this] { cv_client_.notify_all(); });
     group_->Start();
-    worker_ = std::thread([this] { SequencerLoop(); });
-    return;
+  } else {
+    // Hand ownership from the setup thread (which registered subsystems
+    // and observers) to the worker; the worker's first scheduler call
+    // rebinds the affinity guard, and the thread construction provides
+    // the happens-before edge.
+    scheduler_->ReleaseThreadAffinity();
   }
-  // Hand ownership from the setup thread (which registered subsystems and
-  // observers) to the worker; the worker's first scheduler call rebinds
-  // the affinity guard, and the thread construction provides the
-  // happens-before edge.
-  scheduler_->ReleaseThreadAffinity();
   worker_ = std::thread([this] { WorkerLoop(); });
 }
 
@@ -239,10 +244,10 @@ void RuntimeShard::Stop() {
     stop_requested_ = true;
   }
   cv_worker_.notify_all();
-  // Group first: the sequencer may be parked inside PublishRound's flow
+  // Group first: the worker may be parked inside PublishRound's flow
   // control (waiting on the group's condition variable, which the shard's
   // notify cannot reach) — the group's stop fails that wait and lets the
-  // sequencer exit.
+  // worker exit.
   if (group_ != nullptr) group_->Stop();
   worker_.join();
   {
@@ -261,26 +266,16 @@ void RuntimeShard::RecordError(const Status& status) {
 }
 
 void RuntimeShard::PublishStats() {
+  // Replicated: the primary replica publishes its own (StatsSnapshot).
+  if (scheduler_ == nullptr) return;
   SchedulerStats snapshot = scheduler_->stats();  // worker owns the scheduler
   std::lock_guard<std::mutex> lock(mu_);
   stats_snapshot_ = snapshot;
 }
 
-bool RuntimeShard::RunOnePass(bool had_work) {
-  const bool probed = options_.probe != nullptr;
-  std::chrono::steady_clock::time_point pass_start;
-  if (probed) pass_start = std::chrono::steady_clock::now();
-  // Agent ops first: they may submit sub-processes or release held
-  // commits, and the pass below should see their effects. Run outside
-  // mu_ (they take the agent's lock; the agent may post to other shards).
-  std::deque<std::function<void()>> ops;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ops.swap(agent_ops_);
-  }
-  for (std::function<void()>& op : ops) op();
+std::vector<Submission> RuntimeShard::TakeSubmissions() {
   std::vector<Submission> submissions = queue_.DrainAll();
-  if (probed && !submissions.empty()) {
+  if (options_.probe != nullptr && !submissions.empty()) {
     // Offer every drained submission to the probe before admission. An
     // intercepted submission is moved out wholesale (its def_owner rides
     // along into the migration buffer), so the retained_defs_ transfer
@@ -296,45 +291,41 @@ bool RuntimeShard::RunOnePass(bool had_work) {
     }
     submissions.resize(kept);
   }
-  bool admitted = false;
-  int64_t admitted_count = 0;
   for (Submission& submission : submissions) {
     if (submission.def_owner != nullptr) {
       retained_defs_.emplace(submission.def_owner.get(),
                              std::move(submission.def_owner));
     }
   }
-  if (options_.batched_admission && !submissions.empty()) {
-    std::vector<TransactionalProcessScheduler::BatchSubmission> batch;
-    batch.reserve(submissions.size());
-    for (const Submission& submission : submissions) {
-      batch.push_back({submission.def, submission.param});
-    }
-    std::vector<Result<ProcessId>> pids = scheduler_->SubmitBatch(batch);
-    for (size_t i = 0; i < submissions.size(); ++i) {
-      admitted = admitted || pids[i].ok();
-      if (pids[i].ok()) ++admitted_count;
-      submissions[i].result.set_value(std::move(pids[i]));
-    }
-  } else {
-    for (Submission& submission : submissions) {
-      Result<ProcessId> pid =
-          scheduler_->Submit(submission.def, submission.param);
-      admitted = admitted || pid.ok();
-      if (pid.ok()) ++admitted_count;
-      submission.result.set_value(std::move(pid));
-    }
+  return submissions;
+}
+
+bool RuntimeShard::RunOnePass(bool had_work) {
+  const bool probed = options_.probe != nullptr;
+  std::chrono::steady_clock::time_point pass_start;
+  if (probed) pass_start = std::chrono::steady_clock::now();
+  // Agent ops first: they may submit sub-processes or release held
+  // commits, and the pass below should see their effects. Run outside
+  // mu_ (they take the agent's lock; the agent may post to other shards).
+  std::deque<std::function<void()>> ops;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ops.swap(agent_ops_);
   }
-  bool has_work = had_work || admitted || !ops.empty();
-  if (has_work) {
-    Result<bool> more = scheduler_->Step();
-    if (!more.ok()) {
-      RecordError(more.status());
-      has_work = false;
-    } else {
-      has_work = *more;
-    }
-  }
+  for (std::function<void()>& op : ops) op();
+  std::vector<Submission> submissions = TakeSubmissions();
+  int64_t admitted_count = 0;
+  Result<bool> more = AdmitAndStep(
+      *scheduler_, submissions, had_work || !ops.empty(),
+      /*to_quiescence=*/false, [&](std::vector<Result<ProcessId>> pids) {
+        for (size_t i = 0; i < pids.size(); ++i) {
+          if (pids[i].ok()) ++admitted_count;
+          submissions[i].result.set_value(std::move(pids[i]));
+        }
+        return Status::OK();
+      });
+  if (!more.ok()) RecordError(more.status());
+  const bool has_work = more.ok() && *more;
   PublishStats();
   if (probed) {
     ShardPassSample sample;
@@ -347,6 +338,22 @@ bool RuntimeShard::RunOnePass(bool had_work) {
     options_.probe->OnPassEnd(options_.index, sample);
   }
   return has_work;
+}
+
+void RuntimeShard::PublishRound() {
+  // A round is this pass's queue drain. Lockstep publishes every tick
+  // (empty rounds included — a tick is a round, so the replicas' pass
+  // count matches the unreplicated worker's) and blocks on the tick
+  // barrier; free-running publishes only real submissions and lets the
+  // replicas run ahead on their own threads.
+  std::vector<Submission> submissions = TakeSubmissions();
+  Status status;
+  if (options_.mode == TickMode::kLockstep) {
+    status = group_->PublishRoundAndWait(std::move(submissions));
+  } else if (!submissions.empty()) {
+    status = group_->PublishRound(std::move(submissions));
+  }
+  if (!status.ok()) RecordError(status);
 }
 
 void RuntimeShard::WorkerLoop() {
@@ -374,10 +381,18 @@ void RuntimeShard::WorkerLoop() {
       continue;
     }
     if (stop_requested_) break;
+    // The pass body is the only fork between a plain and a replicated
+    // shard. Replicated, has_work_ stays false and agent_ops_ empty: the
+    // replicas track their own work, and IsIdle/WaitIdle ask the group.
     const bool had_work = has_work_;
     busy_ = true;
     lock.unlock();
-    const bool has_work = RunOnePass(had_work);
+    bool has_work = false;
+    if (group_ != nullptr) {
+      PublishRound();
+    } else {
+      has_work = RunOnePass(had_work);
+    }
     lock.lock();
     busy_ = false;
     has_work_ = has_work;
@@ -391,73 +406,15 @@ void RuntimeShard::WorkerLoop() {
   lock.unlock();
   // Fail whatever was still queued: the runtime is stopping without
   // draining (kill semantics), and a promise must never be dropped unset.
+  // (Replicated, the group's own Stop fails the rounds already published
+  // but not yet released.)
   for (Submission& submission : queue_.DrainAll()) {
     submission.result.set_value(Status::Unavailable(
         StrCat("shard ", options_.index, " stopped before admission")));
   }
   // Hand the quiesced scheduler back: join() gives the inspecting thread
-  // its happens-before edge.
-  scheduler_->ReleaseThreadAffinity();
-}
-
-void RuntimeShard::SequencerLoop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    cv_worker_.wait(lock, [&] {
-      if (stop_requested_ || command_ != nullptr) return true;
-      if (!error_.ok()) return false;  // sticky error: only commands/stop
-      if (options_.mode == TickMode::kLockstep) {
-        return ticks_granted_ > ticks_done_;
-      }
-      return !queue_.empty();
-    });
-    if (command_ != nullptr) {
-      std::function<Status()> command = std::move(command_);
-      command_ = nullptr;
-      lock.unlock();
-      Status status = command();
-      SchedulerStats snapshot = group_->PrimaryStatsSnapshot();
-      lock.lock();
-      stats_snapshot_ = snapshot;
-      command_status_ = status;
-      command_done_ = true;
-      cv_client_.notify_all();
-      continue;
-    }
-    if (stop_requested_) break;
-    busy_ = true;
-    lock.unlock();
-    // A round is this pass's queue drain. Lockstep publishes every tick
-    // (empty rounds included — a tick is a round, so the replicas' pass
-    // count matches the unreplicated worker's) and blocks on the tick
-    // barrier; free-running publishes only real submissions and lets the
-    // replicas run ahead on their own threads.
-    std::vector<Submission> submissions = queue_.DrainAll();
-    Status status;
-    if (options_.mode == TickMode::kLockstep) {
-      status = group_->PublishRoundAndWait(std::move(submissions));
-    } else if (!submissions.empty()) {
-      status = group_->PublishRound(std::move(submissions));
-    }
-    if (!status.ok()) RecordError(status);
-    SchedulerStats snapshot = group_->PrimaryStatsSnapshot();
-    lock.lock();
-    busy_ = false;
-    stats_snapshot_ = snapshot;
-    if (options_.mode == TickMode::kLockstep) {
-      ++ticks_done_;
-      cv_client_.notify_all();
-    } else if (queue_.empty()) {
-      cv_client_.notify_all();  // idle waiters re-check the group
-    }
-  }
-  lock.unlock();
-  // Fail whatever was still queued; the group's own Stop fails the rounds
-  // already published but not yet released.
-  for (Submission& submission : queue_.DrainAll()) {
-    submission.result.set_value(Status::Unavailable(
-        StrCat("shard ", options_.index, " stopped before admission")));
-  }
+  // its happens-before edge. (Replicas release their own.)
+  if (scheduler_ != nullptr) scheduler_->ReleaseThreadAffinity();
 }
 
 }  // namespace tpm

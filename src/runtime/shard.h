@@ -9,12 +9,14 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/status.h"
 #include "common/virtual_clock.h"
 #include "core/scheduler.h"
 #include "log/recovery_log.h"
 #include "runtime/replica_group.h"
+#include "runtime/shard_core.h"
 #include "runtime/submission_queue.h"
 
 namespace tpm {
@@ -32,13 +34,6 @@ enum class TickMode {
   /// idle. Shard clocks drift freely relative to each other (they are
   /// per-shard time bases, never compared). The mode benches run in.
   kFreeRunning,
-};
-
-/// Durability of a shard's recovery log.
-enum class ShardLogMode {
-  kNone,    // no log — no durability, no Recover
-  kMemory,  // in-memory WAL (tests, benches)
-  kFile,    // file-backed WAL at <wal_dir>/shard-<index>.wal
 };
 
 /// One worker pass, as sampled for the elastic LoadMonitor.
@@ -84,22 +79,16 @@ class RuntimeShard {
     size_t queue_capacity = 1024;
     BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
     TickMode mode = TickMode::kFreeRunning;
+    /// kFile: the shard's WAL (one per replica when replicated) lives in
+    /// wal_dir, named by OpenShardLog.
     ShardLogMode log_mode = ShardLogMode::kMemory;
-    std::string wal_path;  // kFile only
-    /// Admit each per-pass queue drain through Scheduler::SubmitBatch (one
-    /// batched validation + graph extension + guard check instead of N).
-    /// Admission outcomes are bit-identical either way; off = the
-    /// per-process reference path.
-    bool batched_admission = true;
+    std::string wal_dir;
     /// factor > 1 replaces the shard's single scheduler with a
     /// ReplicaGroup: R voting replicas fed identical rounds by this
-    /// shard's worker (now a sequencer). Default (1) is the exact
-    /// pre-replication path. Agent ops (cross-shard spans) are not
-    /// supported on a replicated shard.
+    /// shard's worker. Default (1) is the exact pre-replication path.
+    /// Agent ops (cross-shard spans) are not supported on a replicated
+    /// shard.
     ReplicationOptions replication;
-    /// Replicated kFile shards put per-replica WALs here
-    /// (<wal_dir>/shard-<index>-replica-<r>.wal); wal_path is ignored.
-    std::string wal_dir;
     /// Elastic instrumentation (telemetry sampling + migration
     /// interception). Null = the exact pre-elastic worker pass. Not
     /// supported on replicated shards.
@@ -131,7 +120,15 @@ class RuntimeShard {
 
   /// The shard's replica group, or nullptr when replication is off.
   ReplicaGroup* group() { return group_.get(); }
-  bool replicated() const { return group_ != nullptr; }
+
+  /// Setup phase (before Start). Each goes to the shard's scheduler or,
+  /// replicated, to its group: a subsystem registers with replica 0
+  /// (mirrors for replicas >= 1 go through group()), a conflict reaches
+  /// every replica, and the observer receives each scheduler event once —
+  /// from whichever replica is acting primary.
+  Status RegisterSubsystem(Subsystem* subsystem);
+  void AddConflict(ServiceId a, ServiceId b);
+  void AddObserver(SchedulerObserver* observer);
 
   /// Hands the scheduler to a fresh worker thread and starts it.
   void Start();
@@ -212,28 +209,34 @@ class RuntimeShard {
   bool started() const { return worker_.joinable() || stopped_; }
 
  private:
+  /// The one worker loop: waits for work, a tick, a command or stop, and
+  /// runs the pass body — RunOnePass, or PublishRound when replicated.
   void WorkerLoop();
-  /// Replicated worker: a sequencer that drains the queue and publishes
-  /// rounds to the replica group instead of running a scheduler itself.
-  void SequencerLoop();
-  /// One pass: drain + admit queued submissions, then one scheduling pass
-  /// if work remains. Returns the new has-work flag.
+  /// Drains the queue, offers the drain to the elastic probe and retains
+  /// the definitions whose ownership rode along (def_owner).
+  std::vector<Submission> TakeSubmissions();
+  /// Plain pass: agent ops, then admit the drain and step once through
+  /// AdmitAndStep. Returns the new has-work flag.
   bool RunOnePass(bool had_work);
+  /// Replicated pass: publishes the drain as the group's next round.
+  void PublishRound();
   void RecordError(const Status& status);
   void PublishStats();
 
   Options options_;
+  /// Definitions whose ownership was transferred with the submission
+  /// (Submission::def_owner): the scheduler — or every replica's — keeps
+  /// raw ProcessDef pointers for the life of each admitted process, so the
+  /// shard holds them until it is destroyed. Declared before scheduler_
+  /// and group_ so it outlives both. Worker-thread only (and the
+  /// destructor, after join).
+  std::map<const ProcessDef*, std::shared_ptr<const ProcessDef>>
+      retained_defs_;
   VirtualClock clock_;
   std::unique_ptr<RecoveryLog> log_;
   std::unique_ptr<TransactionalProcessScheduler> scheduler_;
   std::unique_ptr<ReplicaGroup> group_;
   SubmissionQueue queue_;
-  /// Definitions whose ownership was transferred with the submission
-  /// (Submission::def_owner): the scheduler keeps raw ProcessDef pointers
-  /// for the life of each admitted process, so the shard holds them until
-  /// it is destroyed. Worker-thread only (and the destructor, after join).
-  std::map<const ProcessDef*, std::shared_ptr<const ProcessDef>>
-      retained_defs_;
 
   std::thread worker_;
   bool stopped_ = false;

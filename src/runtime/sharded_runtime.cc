@@ -270,10 +270,7 @@ Status ShardedRuntime::Start() {
                                              router_->num_components());
     MigrationEngine::Options engine_options;
     engine_options.log_mode = options_.log_mode;
-    if (options_.log_mode == ShardLogMode::kFile) {
-      engine_options.wal_path =
-          (std::filesystem::path(options_.wal_dir) / "elastic.wal").string();
-    }
+    engine_options.wal_dir = options_.wal_dir;
     engine_options.crash_listener = options_.elastic.crash_listener;
     engine_options.buffer_capacity = options_.elastic.migration_buffer_capacity;
     engine_options.mode = options_.mode;
@@ -318,16 +315,10 @@ Status ShardedRuntime::Start() {
     shard_options.scheduler = options_.scheduler;
     shard_options.queue_capacity = options_.queue_capacity;
     shard_options.backpressure = options_.backpressure;
-    shard_options.batched_admission = options_.batched_admission;
     shard_options.mode = options_.mode;
     shard_options.log_mode = options_.log_mode;
     shard_options.replication = options_.replication;
     shard_options.wal_dir = options_.wal_dir;
-    if (options_.log_mode == ShardLogMode::kFile) {
-      shard_options.wal_path = (std::filesystem::path(options_.wal_dir) /
-                                StrCat("shard-", i, ".wal"))
-                                   .string();
-    }
     shard_options.probe = probe_.get();  // null when elastic is off
     if (elastic) {
       shard_options.on_unpark = [this](int shard) {
@@ -346,11 +337,10 @@ Status ShardedRuntime::Start() {
     TPM_RETURN_IF_ERROR(engine_->ApplyCrashFixups());
   }
 
-  // Register each subsystem with the scheduler of the shard owning its
-  // services (all on one shard — its implicit colocation group). With
-  // replication on, registration goes through the shard's replica group
-  // (replica 0), which also remembers the subsystem for digesting and
-  // respawn.
+  // Register each subsystem with the shard owning its services (all on
+  // one shard — its implicit colocation group). A replicated shard
+  // registers it with replica 0, whose group also remembers the subsystem
+  // for digesting and respawn.
   shard_of_subsystem_.clear();
   std::vector<std::vector<int>> replica_counts(
       static_cast<size_t>(options_.num_shards),
@@ -369,14 +359,8 @@ Status ShardedRuntime::Start() {
       return Status::Internal(
           StrCat("no shard owns service ", ids.front().value()));
     }
-    if (replicated()) {
-      TPM_RETURN_IF_ERROR(
-          shards_[shard]->group()->RegisterSubsystem(0, subsystem));
-      ++replica_counts[shard][0];
-    } else {
-      TPM_RETURN_IF_ERROR(
-          shards_[shard]->scheduler()->RegisterSubsystem(subsystem));
-    }
+    TPM_RETURN_IF_ERROR(shards_[shard]->RegisterSubsystem(subsystem));
+    ++replica_counts[shard][0];
     shard_of_subsystem_.push_back(shard);
   }
   // Mirror subsystems (replicas >= 1): routed by their first service —
@@ -418,28 +402,19 @@ Status ShardedRuntime::Start() {
   // Extra conflicts also go to the owning shard's local scheduler spec;
   // the partition guarantees both endpoints landed on the same shard.
   for (const auto& [a, b] : extra_conflicts_) {
-    const int shard = router_->ShardOfService(a);
-    if (replicated()) {
-      shards_[shard]->group()->AddConflict(a, b);
-    } else {
-      shards_[shard]->scheduler()->AddConflict(a, b);
-    }
+    shards_[router_->ShardOfService(a)]->AddConflict(a, b);
   }
 
   for (int i = 0; i < options_.num_shards; ++i) {
     relays_.push_back(std::make_unique<ShardObserverRelay>(this, i));
+    shards_[i]->AddObserver(relays_.back().get());
     if (replicated()) {
-      // The group's observer gate delivers each event exactly once — from
-      // the acting primary — into the relay.
-      shards_[i]->group()->AddDownstreamObserver(relays_.back().get());
       shards_[i]->group()->SetStateChangeCallback(
           [this, i](int replica, ReplicaState from, ReplicaState to) {
             RelayEvent([&](RuntimeObserver* o) {
               o->OnReplicaStateChange(i, replica, from, to);
             });
           });
-    } else {
-      shards_[i]->scheduler()->AddObserver(relays_.back().get());
     }
   }
 
@@ -449,10 +424,7 @@ Status ShardedRuntime::Start() {
   agent_options.mode = options_.mode;
   agent_options.span_order = options_.span_order;
   agent_options.log_mode = options_.log_mode;
-  if (options_.log_mode == ShardLogMode::kFile) {
-    agent_options.wal_path =
-        (std::filesystem::path(options_.wal_dir) / "coordinator.wal").string();
-  }
+  agent_options.wal_dir = options_.wal_dir;
   agent_options.crash_listener = options_.coordinator_crash_listener;
   agent_ = std::make_unique<CrossShardAgent>(std::move(agent_options),
                                              router_.get(), &shards_);

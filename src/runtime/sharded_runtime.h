@@ -76,10 +76,6 @@ struct ShardedRuntimeOptions {
   /// Bounded submission queue per shard, and what a full one does.
   size_t queue_capacity = 1024;
   BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
-  /// Each worker admits its per-pass queue drain through one batched
-  /// Scheduler::SubmitBatch call (outcomes bit-identical to per-process
-  /// admission; off = the reference path, useful for A/B benching).
-  bool batched_admission = true;
   /// Lockstep (deterministic, driven by Tick/Drain) or free-running
   /// (workers self-drive; Drain blocks until quiescence).
   TickMode mode = TickMode::kFreeRunning;

@@ -27,6 +27,14 @@ struct Case {
   Verdicts expected;
 };
 
+// gtest would otherwise print a Case as its raw bytes, pointers included,
+// and the listed (and ctest-registered) test names would change with every
+// address-space layout.
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << "{ser=" << c.expected.serializable << " red=" << c.expected.red
+      << " pred=" << c.expected.pred << " sot=" << c.expected.sot << "}";
+}
+
 // Two single-compensatable processes on one conflicting service each.
 constexpr char kTwoComp[] = R"(
 process A

@@ -194,21 +194,59 @@ TEST(ShardedRuntimeTest, MergedStatsWithOneShardEqualSoloRun) {
   EXPECT_EQ(stats.submissions_rejected, 0);
 }
 
+// Every counter set to a distinct value: MergeFrom sums each one and maxes
+// virtual_time. The digests are pinned because replica votes and the
+// determinism canary hash through them, so the fold order must not move.
 TEST(ShardedRuntimeTest, MergeFromAddsCountersAndMaxesVirtualTime) {
-  SchedulerStats a;
-  a.steps = 3;
-  a.virtual_time = 10;
-  a.processes_committed = 2;
-  SchedulerStats b;
-  b.steps = 4;
-  b.virtual_time = 7;
-  b.processes_committed = 1;
+  const SchedulerStats a{
+      .steps = 1, .virtual_time = 5000, .activities_committed = 3,
+      .failed_invocations = 4, .compensations = 5, .deferrals = 6,
+      .blocked_by_locks = 7, .alternatives_taken = 8,
+      .processes_committed = 9, .processes_aborted = 10,
+      .deadlock_victims = 11, .prepared_branches = 12,
+      .quasi_commit_admissions = 13, .cascading_aborts = 14,
+      .irrecoverable_cascades = 15, .commit_waits = 16,
+      .forced_executions = 17, .certified_violations = 18,
+      .recovered_log_anomalies = 19, .breaker_trips = 20,
+      .deadline_failures = 21, .parked_activities = 22,
+      .resumed_activities = 23, .degraded_switches = 24,
+      .spanning_admitted = 25, .cross_shard_prepares = 26,
+      .in_doubt_resolved = 27};
+  const SchedulerStats b{
+      .steps = 100, .virtual_time = 7, .activities_committed = 300,
+      .failed_invocations = 400, .compensations = 500, .deferrals = 600,
+      .blocked_by_locks = 700, .alternatives_taken = 800,
+      .processes_committed = 900, .processes_aborted = 1000,
+      .deadlock_victims = 1100, .prepared_branches = 1200,
+      .quasi_commit_admissions = 1300, .cascading_aborts = 1400,
+      .irrecoverable_cascades = 1500, .commit_waits = 1600,
+      .forced_executions = 1700, .certified_violations = 1800,
+      .recovered_log_anomalies = 1900, .breaker_trips = 2000,
+      .deadline_failures = 2100, .parked_activities = 2200,
+      .resumed_activities = 2300, .degraded_switches = 2400,
+      .spanning_admitted = 2500, .cross_shard_prepares = 2600,
+      .in_doubt_resolved = 2700};
   SchedulerStats merged;
   merged.MergeFrom(a);
   merged.MergeFrom(b);
-  EXPECT_EQ(merged.steps, 7);
-  EXPECT_EQ(merged.virtual_time, 10);  // makespan, not sum
-  EXPECT_EQ(merged.processes_committed, 3);
+  const SchedulerStats expected{
+      .steps = 101, .virtual_time = 5000,  // makespan, not sum
+      .activities_committed = 303, .failed_invocations = 404,
+      .compensations = 505, .deferrals = 606, .blocked_by_locks = 707,
+      .alternatives_taken = 808, .processes_committed = 909,
+      .processes_aborted = 1010, .deadlock_victims = 1111,
+      .prepared_branches = 1212, .quasi_commit_admissions = 1313,
+      .cascading_aborts = 1414, .irrecoverable_cascades = 1515,
+      .commit_waits = 1616, .forced_executions = 1717,
+      .certified_violations = 1818, .recovered_log_anomalies = 1919,
+      .breaker_trips = 2020, .deadline_failures = 2121,
+      .parked_activities = 2222, .resumed_activities = 2323,
+      .degraded_switches = 2424, .spanning_admitted = 2525,
+      .cross_shard_prepares = 2626, .in_doubt_resolved = 2727};
+  EXPECT_TRUE(merged == expected);
+  EXPECT_EQ(a.Fingerprint(), 18248626786268950958ull);
+  EXPECT_EQ(merged.Fingerprint(), 6907270213824575209ull);
+  EXPECT_EQ(b.FingerprintSince(a), 18370191527628564857ull);
 }
 
 // Satellite: the router's typed decision — a tenant-local footprint is
@@ -416,35 +454,65 @@ TEST(ShardedRuntimeTest, FreeRunningDrainReachesQuiescence) {
 // reference to the definition immediately after submitting, and only the
 // runtime's retained reference keeps it alive while the shard scheduler
 // admits, runs, and records the process. ASan turns any lifetime hole
-// here into a hard use-after-free failure.
+// here into a hard use-after-free failure. Replicated (factor 2, one
+// mirror world per replica), the shard retains the definition for every
+// replica scheduler.
 TEST(ShardedRuntimeTest, SharedPtrSubmissionOutlivesProducerReference) {
-  ShardedWorld world({.seed = 31, .num_tenants = 1});
-  (void)BuildWorkload(&world, 1);  // registers the services
-  ShardedRuntimeOptions options;
-  options.num_shards = 1;
-  options.mode = TickMode::kFreeRunning;
-  ShardedRuntime runtime(options);
-  ASSERT_TRUE(world.RegisterAll(&runtime).ok());
-  ASSERT_TRUE(runtime.Start().ok());
-  std::vector<SubmitTicket> tickets;
-  for (int i = 0; i < 8; ++i) {
-    auto def = std::make_shared<ProcessDef>(
-        *world.MakeOrderProcess(0, "ephemeral_" + std::to_string(i)));
-    auto ticket =
-        runtime.Submit(std::shared_ptr<const ProcessDef>(def), /*param=*/i);
-    ASSERT_TRUE(ticket.ok()) << ticket.status();
-    tickets.push_back(*ticket);
-    def.reset();  // producer's reference is gone before the worker drains
+  for (int factor : {1, 2}) {
+    SCOPED_TRACE(StrCat("replication factor ", factor));
+    std::vector<std::unique_ptr<ShardedWorld>> worlds;
+    for (int r = 0; r < factor; ++r) {
+      worlds.push_back(std::make_unique<ShardedWorld>(
+          ShardedWorldOptions{.seed = 31, .num_tenants = 1}));
+      (void)BuildWorkload(worlds.back().get(), 1);  // registers the services
+    }
+    ShardedRuntimeOptions options;
+    options.num_shards = 1;
+    options.mode = TickMode::kFreeRunning;
+    options.replication.factor = factor;
+    ShardedRuntime runtime(options);
+    for (int r = 0; r < factor; ++r) {
+      ASSERT_TRUE(worlds[r]->RegisterAllAsReplica(&runtime, r).ok());
+    }
+    ASSERT_TRUE(runtime.Start().ok());
+    std::vector<SubmitTicket> tickets;
+    for (int i = 0; i < 8; ++i) {
+      const std::string name = "ephemeral_" + std::to_string(i);
+      for (int r = 1; r < factor; ++r) {
+        (void)worlds[r]->MakeOrderProcess(0, name);  // keep mirrors in step
+      }
+      auto def =
+          std::make_shared<ProcessDef>(*worlds[0]->MakeOrderProcess(0, name));
+      auto ticket =
+          runtime.Submit(std::shared_ptr<const ProcessDef>(def), /*param=*/i);
+      ASSERT_TRUE(ticket.ok()) << ticket.status();
+      tickets.push_back(*ticket);
+      def.reset();  // producer's reference is gone before the worker drains
+    }
+    ASSERT_TRUE(runtime.Drain().ok());
+    EXPECT_EQ(runtime.Stats().replica_divergences, 0);
+    ASSERT_TRUE(runtime.Stop().ok());
+    // Every scheduler (each replica's, when replicated) still reads the
+    // definitions through its history after the producer let go.
+    std::vector<TransactionalProcessScheduler*> schedulers = {
+        runtime.shard_scheduler(0)};
+    for (int r = 1; r < factor; ++r) {
+      schedulers.push_back(runtime.replica_scheduler(0, r));
+    }
+    for (size_t i = 0; i < tickets.size(); ++i) {
+      auto pid = tickets[i].Await();
+      ASSERT_TRUE(pid.ok()) << pid.status();
+      for (TransactionalProcessScheduler* scheduler : schedulers) {
+        EXPECT_EQ(scheduler->OutcomeOf(*pid), ProcessOutcome::kCommitted);
+        const ProcessDef* def = scheduler->history().DefOf(*pid);
+        ASSERT_NE(def, nullptr);
+        EXPECT_EQ(def->name(), "ephemeral_" + std::to_string(i));
+      }
+    }
+    for (const auto& world : worlds) {
+      EXPECT_TRUE(world->CheckAdtInvariants().ok());
+    }
   }
-  ASSERT_TRUE(runtime.Drain().ok());
-  ASSERT_TRUE(runtime.Stop().ok());
-  for (auto& ticket : tickets) {
-    auto pid = ticket.Await();
-    ASSERT_TRUE(pid.ok()) << pid.status();
-    EXPECT_EQ(runtime.shard_scheduler(ticket.shard)->OutcomeOf(*pid),
-              ProcessOutcome::kCommitted);
-  }
-  EXPECT_TRUE(world.CheckAdtInvariants().ok());
 }
 
 // Stats() is documented thread-safe; hammering it from a polling thread
@@ -500,21 +568,34 @@ TEST(ShardedRuntimeTest, StatsReadsAreSafeUnderConcurrentTraffic) {
 }
 
 TEST(ShardedRuntimeTest, StopFailsLeftoverSubmissionsInsteadOfDropping) {
-  ShardedWorld world({.seed = 29, .num_tenants = 1});
-  (void)BuildWorkload(&world, 1);
-  const ProcessDef* def = world.MakeOrderProcess(0, "leftover");
-  ShardedRuntimeOptions options;
-  options.num_shards = 1;
-  options.mode = TickMode::kLockstep;  // never ticked: stays queued
-  ShardedRuntime runtime(options);
-  ASSERT_TRUE(world.RegisterAll(&runtime).ok());
-  ASSERT_TRUE(runtime.Start().ok());
-  auto ticket = runtime.Submit(def);
-  ASSERT_TRUE(ticket.ok());
-  ASSERT_TRUE(runtime.Stop().ok());
-  auto pid = ticket->Await();
-  ASSERT_FALSE(pid.ok());
-  EXPECT_TRUE(pid.status().IsUnavailable()) << pid.status();
+  for (int factor : {1, 2}) {
+    SCOPED_TRACE(StrCat("replication factor ", factor));
+    std::vector<std::unique_ptr<ShardedWorld>> worlds;
+    const ProcessDef* def = nullptr;
+    for (int r = 0; r < factor; ++r) {
+      worlds.push_back(std::make_unique<ShardedWorld>(
+          ShardedWorldOptions{.seed = 29, .num_tenants = 1}));
+      (void)BuildWorkload(worlds.back().get(), 1);
+      const ProcessDef* leftover =
+          worlds.back()->MakeOrderProcess(0, "leftover");
+      if (r == 0) def = leftover;
+    }
+    ShardedRuntimeOptions options;
+    options.num_shards = 1;
+    options.mode = TickMode::kLockstep;  // never ticked: stays queued
+    options.replication.factor = factor;
+    ShardedRuntime runtime(options);
+    for (int r = 0; r < factor; ++r) {
+      ASSERT_TRUE(worlds[r]->RegisterAllAsReplica(&runtime, r).ok());
+    }
+    ASSERT_TRUE(runtime.Start().ok());
+    auto ticket = runtime.Submit(def);
+    ASSERT_TRUE(ticket.ok());
+    ASSERT_TRUE(runtime.Stop().ok());
+    auto pid = ticket->Await();
+    ASSERT_FALSE(pid.ok());
+    EXPECT_TRUE(pid.status().IsUnavailable()) << pid.status();
+  }
 }
 
 // Free-running multi-producer soak: concurrent Submit from several

@@ -1,14 +1,19 @@
 // E14 — reduction machinery scaling: the polynomial RED decision procedure
-// vs the exhaustive rewrite oracle, and full PRED analysis cost, as
-// schedule size grows.
+// vs the exhaustive rewrite oracle, and full PRED analysis — the one-pass
+// certifier vs Def. 10 taken literally (every prefix completed and reduced)
+// — as schedule size grows.
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <iostream>
 
+#include "common/str_util.h"
+#include "core/baseline_schedulers.h"
 #include "core/pred.h"
 #include "core/reduction.h"
+#include "testing/pred_oracle.h"
+#include "workload/process_generator.h"
 #include "workload/schedule_generator.h"
 
 using namespace tpm;
@@ -68,6 +73,68 @@ void PrintComparison() {
   std::cout << "\n";
 }
 
+double SecondsSince(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+// PRED on histories the scheduler emits, so both analyses scan every
+// prefix: the certifier against the per-prefix oracle at ~10^2, 10^3 and
+// 10^4 events. All at once, every process is submitted before the run, so
+// hundreds are in flight; staggered, one is submitted per scheduler pass,
+// so few are, and the certifier settles what finished. The processes have
+// no retriable tails: with them, a group abort's forward steps can close a
+// cycle and end the scan early (ROADMAP). The oracle is about O(n^3) and
+// is skipped beyond `kOracleMaxEvents`.
+void PrintPredScaling() {
+  constexpr size_t kOracleMaxEvents = 2000;
+  std::cout << "E14 | PRED: one-pass certifier vs per-prefix oracle "
+               "(kPred scheduler histories)\n";
+  for (bool staggered : {false, true}) {
+    for (int processes : {25, 250, 2500}) {
+      SyntheticUniverse universe(2, std::max(8, processes / 4));
+      ProcessShape shape;
+      shape.items_per_process = 2;
+      shape.nested_probability = 0;
+      shape.min_retriable = 0;
+      shape.max_retriable = 0;
+      ProcessGenerator generator(&universe, shape, 14);
+      auto scheduler = MakePredScheduler();
+      if (!universe.RegisterAll(scheduler.get()).ok()) return;
+      for (int i = 0; i < processes; ++i) {
+        auto def = generator.Generate(StrCat("e14_", i));
+        if (!def.ok() || !scheduler->Submit(*def).ok()) return;
+        if (staggered && !scheduler->Step().ok()) return;
+      }
+      if (!scheduler->Run().ok()) return;
+      const ProcessSchedule& history = scheduler->history();
+      const ConflictSpec& spec = scheduler->conflict_spec();
+
+      auto t0 = std::chrono::steady_clock::now();
+      auto certified = AnalyzePRED(history, spec);
+      const double certifier_s = SecondsSince(t0);
+      std::cout << "    " << (staggered ? "staggered " : "all at once")
+                << " processes=" << processes << " events=" << history.size()
+                << "  certifier=" << certifier_s * 1e3 << "ms ("
+                << (certified.ok() ? certified->ToString()
+                                   : certified.status().ToString())
+                << ")  oracle=";
+      if (history.size() > kOracleMaxEvents) {
+        std::cout << "skipped (> " << kOracleMaxEvents << " events)\n";
+        continue;
+      }
+      t0 = std::chrono::steady_clock::now();
+      auto oracle = testing::AnalyzePREDPerPrefix(history, spec);
+      const double oracle_s = SecondsSince(t0);
+      std::cout << oracle_s * 1e3 << "ms ("
+                << (oracle.ok() ? oracle->ToString()
+                                : oracle.status().ToString())
+                << ")  speedup=" << oracle_s / certifier_s << "x\n";
+    }
+  }
+  std::cout << "\n";
+}
+
 void BM_PolynomialRed(benchmark::State& state) {
   GeneratedSchedule w =
       MakeWorkload(static_cast<int>(state.range(0)), 0.1, 5);
@@ -90,6 +157,17 @@ void BM_FullPredAnalysis(benchmark::State& state) {
 }
 BENCHMARK(BM_FullPredAnalysis)->Arg(2)->Arg(4)->Arg(8)->Complexity();
 
+void BM_PerPrefixPredOracle(benchmark::State& state) {
+  GeneratedSchedule w =
+      MakeWorkload(static_cast<int>(state.range(0)), 0.1, 5);
+  for (auto _ : state) {
+    auto outcome = testing::AnalyzePREDPerPrefix(w.schedule, w.spec);
+    benchmark::DoNotOptimize(outcome);
+  }
+  state.SetComplexityN(static_cast<int64_t>(w.schedule.size()));
+}
+BENCHMARK(BM_PerPrefixPredOracle)->Arg(2)->Arg(4)->Arg(8)->Complexity();
+
 void BM_CompleteSchedule(benchmark::State& state) {
   GeneratedSchedule w =
       MakeWorkload(static_cast<int>(state.range(0)), 0.1, 5);
@@ -104,6 +182,7 @@ BENCHMARK(BM_CompleteSchedule)->Arg(2)->Arg(8)->Arg(32);
 
 int main(int argc, char** argv) {
   PrintComparison();
+  PrintPredScaling();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -101,6 +101,15 @@ const std::vector<ServiceId>& ConflictSpec::PartnersOf(
   return effective_partners_[index];
 }
 
+std::vector<int> ConflictSpec::PartnerIndicesOf(int index) const {
+  std::vector<int> partners;
+  for (ServiceId partner : partners_[index]) {
+    const int ip = IndexOf(partner);
+    if (EffectiveConflict(index, ip)) partners.push_back(ip);
+  }
+  return partners;
+}
+
 std::vector<std::pair<ServiceId, ServiceId>> ConflictSpec::ConflictPairs()
     const {
   std::vector<std::pair<ServiceId, ServiceId>> pairs;

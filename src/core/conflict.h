@@ -88,6 +88,12 @@ class ConflictSpec {
   /// declared conflicts.
   const std::vector<ServiceId>& PartnersOf(ServiceId service) const;
 
+  /// Dense indices of the services effectively conflicting with the one at
+  /// dense index `index` — the PartnersOf relation, filtered on the fly from
+  /// the declared pairs. It touches no cache, so concurrent readers of an
+  /// unchanging spec need no lock (the offline analyses run on any thread).
+  std::vector<int> PartnerIndicesOf(int index) const;
+
   /// Number of declared service-level conflicting (unordered) pairs —
   /// before op-table downgrades.
   size_t num_conflict_pairs() const { return num_pairs_; }

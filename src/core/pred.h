@@ -25,7 +25,10 @@ struct PredOutcome {
 /// Checks prefix-reducibility (PRED, Def. 10): every prefix of the schedule
 /// must be reducible. RED itself is not prefix closed (§3.4), so PRED is
 /// the criterion usable for dynamic scheduling; by Theorem 1 every PRED
-/// schedule is serializable and process-recoverable.
+/// schedule is serializable and process-recoverable. Decided in one pass
+/// over the events (DESIGN.md §4); the outcome equals completing and
+/// reducing every prefix, with the cycle AnalyzeRED finds on the first
+/// prefix that does not reduce.
 Result<PredOutcome> AnalyzePRED(const ProcessSchedule& schedule,
                                 const ConflictSpec& spec);
 

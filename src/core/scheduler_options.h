@@ -77,8 +77,10 @@ struct SchedulerOptions {
   /// activity of an active P_i when P_i is in F-REC and none of P_i's
   /// remaining or completion activities can conflict with P_j.
   bool quasi_commit_optimization = false;
-  /// Re-check PRED on the emitted history after every event (O(n^4) —
-  /// tests/small workloads only).
+  /// Re-check PRED on the emitted history after every event. Each check
+  /// walks the whole history once (AnalyzePRED: near-linear while few
+  /// processes are in flight, quadratic with many), and a run repeats it
+  /// per event — tests/small workloads only.
   bool certify_prefixes = false;
   /// Safety cap on re-invocations of a retriable activity.
   int max_retries = 1000;

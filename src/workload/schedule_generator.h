@@ -31,6 +31,14 @@ struct RandomScheduleConfig {
   /// Probability per scheduling step that the schedule stops early,
   /// leaving the remaining processes active mid-flight.
   double stop_probability = 0.05;
+  /// Probability per scheduling step that a started, unterminated process
+  /// aborts instead. Three quarters of the aborts are individual: a process
+  /// still before its pivot first compensates a random number of its
+  /// latest activities in the schedule (newest first), then A_i; the rest
+  /// abort a random group A(...) of started processes. At 0 (the default)
+  /// no extra random numbers are drawn, so a seed yields the same schedule
+  /// as before the option existed.
+  double abort_probability = 0.0;
 };
 
 /// A generated world: process definitions (owned), the conflict relation,

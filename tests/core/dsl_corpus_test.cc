@@ -2,6 +2,8 @@
 // for every criterion — adversarial corner cases of the schedule theory
 // beyond the paper's own figures.
 
+#include "core/dsl_corpus.h"
+
 #include <gtest/gtest.h>
 
 #include "core/expansion.h"
@@ -364,4 +366,11 @@ TEST(DslCorpusTest, BaselineWorldParses) {
 }
 
 }  // namespace
+
+std::vector<const char*> testing::DslCorpusWorlds() {
+  std::vector<const char*> worlds;
+  for (const Case& c : kCases) worlds.push_back(c.world);
+  return worlds;
+}
+
 }  // namespace tpm

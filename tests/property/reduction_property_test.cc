@@ -16,6 +16,13 @@ struct OracleParams {
   int iterations;
 };
 
+// gtest would otherwise print the struct's raw bytes, padding included, into
+// the listed (and ctest-registered) test names.
+void PrintTo(const OracleParams& p, std::ostream* os) {
+  *os << "{procs=" << p.num_processes << " density=" << p.conflict_density
+      << " n=" << p.iterations << "}";
+}
+
 class ReductionOracleSweep : public ::testing::TestWithParam<OracleParams> {};
 
 TEST_P(ReductionOracleSweep, PolynomialCheckerMatchesExhaustiveOracle) {

@@ -32,6 +32,13 @@ struct SweepParams {
   int iterations;
 };
 
+// gtest would otherwise print the struct's raw bytes, padding included, into
+// the listed (and ctest-registered) test names.
+void PrintTo(const SweepParams& p, std::ostream* os) {
+  *os << "{procs=" << p.num_processes << " density=" << p.conflict_density
+      << " n=" << p.iterations << "}";
+}
+
 // The enforceable core of Def. 11: a clause-1 violation whose earlier
 // activity *will actually be compensated* by the completion of its
 // (non-committing) process contradicts PRED — the compensation appears in

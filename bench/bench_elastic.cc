@@ -179,12 +179,6 @@ RunReport RunOnce(bool elastic, int partner) {
     options.queue_capacity = static_cast<size_t>(g_draws);
     if (elastic) {
       options.elastic.enabled = true;
-      // The offline PRED + Proc-REC re-check of the target's merged
-      // history costs O(history) serializability replays per migration
-      // (see bench_replica: the same check dominates verified recovery
-      // by ~3 orders of magnitude). This bench measures placement, so it
-      // runs migrations the way production would: unverified.
-      options.verify_recovery = false;
       options.elastic.policy.enabled = true;
       options.elastic.policy.imbalance_ratio = 1.5;
       options.elastic.policy.sustain_polls = 2;
@@ -342,7 +336,7 @@ int main(int argc, char** argv) {
              " to quiescence, best of ", kRepetitions,
              "; static = elastic layer off entirely (pre-elastic hot "
              "path), elastic = adaptive controller (imbalance 1.5x "
-             "sustained 2 polls at 2 ms, unverified imports) migrating "
+             "sustained 2 polls at 2 ms, certified imports) migrating "
              "components mid-stream; throughput = committed / best "
              "seconds"));
   writer.Field("hardware_threads", hw);

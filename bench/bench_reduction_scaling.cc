@@ -86,12 +86,18 @@ double SecondsSince(std::chrono::steady_clock::time_point t0) {
 // no retriable tails: with them, a group abort's forward steps can close a
 // cycle and end the scan early (ROADMAP). The oracle is about O(n^3) and
 // is skipped beyond `kOracleMaxEvents`.
-void PrintPredScaling() {
+// Returns false when a row fails to build or run, or when the certifier and
+// the oracle disagree: with certification unconditional at every recovery
+// boundary, a wrong certifier verdict must fail this bench.
+bool PrintPredScaling() {
   constexpr size_t kOracleMaxEvents = 2000;
   std::cout << "E14 | PRED: one-pass certifier vs per-prefix oracle "
                "(kPred scheduler histories)\n";
   for (bool staggered : {false, true}) {
     for (int processes : {25, 250, 2500}) {
+      const std::string row =
+          StrCat(staggered ? "staggered" : "all at once",
+                 " processes=", processes);
       SyntheticUniverse universe(2, std::max(8, processes / 4));
       ProcessShape shape;
       shape.items_per_process = 2;
@@ -100,25 +106,33 @@ void PrintPredScaling() {
       shape.max_retriable = 0;
       ProcessGenerator generator(&universe, shape, 14);
       auto scheduler = MakePredScheduler();
-      if (!universe.RegisterAll(scheduler.get()).ok()) return;
-      for (int i = 0; i < processes; ++i) {
+      Status built = universe.RegisterAll(scheduler.get());
+      for (int i = 0; i < processes && built.ok(); ++i) {
         auto def = generator.Generate(StrCat("e14_", i));
-        if (!def.ok() || !scheduler->Submit(*def).ok()) return;
-        if (staggered && !scheduler->Step().ok()) return;
+        built = def.ok() ? scheduler->Submit(*def).status() : def.status();
+        if (built.ok() && staggered) built = scheduler->Step().status();
       }
-      if (!scheduler->Run().ok()) return;
+      if (built.ok()) built = scheduler->Run();
+      if (!built.ok()) {
+        std::cout << "    " << row << "  [FAILED to build: " << built
+                  << "]\n";
+        return false;
+      }
       const ProcessSchedule& history = scheduler->history();
       const ConflictSpec& spec = scheduler->conflict_spec();
 
       auto t0 = std::chrono::steady_clock::now();
       auto certified = AnalyzePRED(history, spec);
       const double certifier_s = SecondsSince(t0);
-      std::cout << "    " << (staggered ? "staggered " : "all at once")
-                << " processes=" << processes << " events=" << history.size()
+      std::cout << "    " << row << " events=" << history.size()
                 << "  certifier=" << certifier_s * 1e3 << "ms ("
                 << (certified.ok() ? certified->ToString()
                                    : certified.status().ToString())
                 << ")  oracle=";
+      if (!certified.ok()) {
+        std::cout << "[FAILED: certifier error]\n";
+        return false;
+      }
       if (history.size() > kOracleMaxEvents) {
         std::cout << "skipped (> " << kOracleMaxEvents << " events)\n";
         continue;
@@ -130,9 +144,14 @@ void PrintPredScaling() {
                 << (oracle.ok() ? oracle->ToString()
                                 : oracle.status().ToString())
                 << ")  speedup=" << oracle_s / certifier_s << "x\n";
+      if (!oracle.ok() || oracle->ToString() != certified->ToString()) {
+        std::cout << "    [FAILED: certifier and oracle verdicts differ]\n";
+        return false;
+      }
     }
   }
   std::cout << "\n";
+  return true;
 }
 
 void BM_PolynomialRed(benchmark::State& state) {
@@ -182,7 +201,7 @@ BENCHMARK(BM_CompleteSchedule)->Arg(2)->Arg(8)->Arg(32);
 
 int main(int argc, char** argv) {
   PrintComparison();
-  PrintPredScaling();
+  if (!PrintPredScaling()) return 1;
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

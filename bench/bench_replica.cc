@@ -13,9 +13,10 @@
 // primary to the next submission being SERVED, under R=3 hot failover
 // (promotion of a live follower, no WAL replay), versus the classic
 // alternative the replicas exist to avoid: a full stop-the-world restart
-// of an R=1 runtime over the same file WAL (Start + Recover replay +
-// serve). Headline check: failover must serve strictly faster than the
-// cold restart path.
+// of an R=1 runtime over the same file WAL (Start + certified Recover +
+// serve), and its floor, the raw replay of each shard's WAL file on a bare
+// scheduler. Headline check: failover must serve strictly faster than the
+// raw replay.
 //
 // `--json <path>` writes BENCH_replica.json. Wall-clock numbers vary run
 // to run; the workloads and per-replica schedules are deterministic per
@@ -27,6 +28,7 @@
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -199,18 +201,44 @@ struct AvailabilityReport {
   // Hot failover (R=3): KillReplica(primary) -> probe served.
   double failover_ms = 0.0;
   int64_t failovers = 0;
-  // Cold restart (R=1, file WAL): new runtime + Recover -> probe served.
-  // Measured twice: with the default post-replay self-check (PRED +
-  // Proc-REC over the recovered histories — by far the dominant term) and
-  // raw (verify_recovery = false; the bare WAL replay). The headline
+  // Cold restart (R=1, file WAL) -> probe served, measured twice: the
+  // runtime's (new runtime + Start + Recover, which certifies every shard
+  // with PRED + Proc-REC) and raw (each shard's WAL file replayed on a bare
+  // scheduler, uncertified, the probe admitted there). The headline
   // compares failover against the RAW number so the claim does not lean
-  // on the verification cost.
+  // on the certification or runtime start-up cost.
   double recovery_verified_ms = 0.0;
   double recovery_raw_ms = 0.0;
   int64_t wal_records_replayed = 0;  // proxy: processes in the WAL
   bool ok = true;
   std::string error;
 };
+
+// The raw cold restart: each shard's WAL file (the runtime's OpenShardLog
+// naming) replayed on a bare scheduler carrying the world's subsystems —
+// the scheduler's Recover primitive alone, no runtime and no
+// certification — then the probe admitted on shard 0's scheduler.
+// `served` is stamped then, before the schedulers are torn down.
+Status RawReplayAndServe(ShardedWorld* world, const std::string& wal_dir,
+                         const ProcessDef* probe,
+                         std::chrono::steady_clock::time_point* served) {
+  const std::map<std::string, const ProcessDef*> defs = world->DefsByName();
+  std::vector<std::unique_ptr<RecoveryLog>> logs;
+  std::vector<std::unique_ptr<TransactionalProcessScheduler>> schedulers;
+  for (int shard = 0; shard < kShards; ++shard) {
+    TPM_ASSIGN_OR_RETURN(
+        std::unique_ptr<RecoveryLog> log,
+        OpenShardLog(ShardLogMode::kFile, wal_dir, shard, /*replica=*/-1));
+    logs.push_back(std::move(log));
+    schedulers.push_back(std::make_unique<TransactionalProcessScheduler>(
+        SchedulerOptions(), logs.back().get()));
+    TPM_RETURN_IF_ERROR(world->RegisterAllSolo(schedulers.back().get()));
+    TPM_RETURN_IF_ERROR(schedulers.back()->Recover(defs));
+  }
+  Status admitted = schedulers.front()->Submit(probe).status();
+  *served = std::chrono::steady_clock::now();
+  return admitted;
+}
 
 AvailabilityReport MeasureAvailability() {
   AvailabilityReport report;
@@ -281,20 +309,19 @@ AvailabilityReport MeasureAvailability() {
   }
 
   // Cold restart: same workload, R=1, crash after the work is durable,
-  // then measure restart + full WAL replay + first served request.
-  // `verify` toggles the default post-replay self-check.
-  auto cold_restart = [&report](bool verify, int reps, double* out_ms) {
+  // then measure restart + full WAL replay + first served request. `raw`
+  // replays on bare schedulers instead of a certifying runtime.
+  auto cold_restart = [&report](bool raw, int reps, double* out_ms) {
   for (int rep = 0; rep < reps && report.ok; ++rep) {
     ReplicaWorlds rw = MakeReplicaWorlds(1);
     const std::string wal_dir = FreshWalDir(
-        StrCat("recovery_", verify ? "v" : "r", "_", rep));
+        StrCat("recovery_", raw ? "r" : "v", "_", rep));
     ShardedRuntimeOptions options;
     options.num_shards = kShards;
     options.mode = TickMode::kFreeRunning;
     options.log_mode = ShardLogMode::kFile;
     options.wal_dir = wal_dir;
     options.queue_capacity = rw.defs.size();
-    options.verify_recovery = verify;
     Status status;
     {
       ShardedRuntime runtime(options);
@@ -314,34 +341,42 @@ AvailabilityReport MeasureAvailability() {
     }
     if (!status.ok()) {
       report.ok = false;
-      report.error = StrCat("cold restart first run (verify=", verify,
+      report.error = StrCat("cold restart first run (raw=", raw,
                             "): ", status.ToString());
       std::filesystem::remove_all(wal_dir);
       return;
     }
 
     const auto begin = std::chrono::steady_clock::now();
-    ShardedRuntime recovered(options);
-    status = rw.worlds[0]->RegisterAll(&recovered);
-    if (status.ok()) status = recovered.Start();
-    if (status.ok()) status = recovered.Recover(rw.worlds[0]->DefsByName());
-    Result<SubmitTicket> probe(Status::Unavailable("unsubmitted"));
-    if (status.ok()) {
-      probe = recovered.Submit(rw.probes[rep]);
-      if (!probe.ok()) status = probe.status();
+    std::chrono::steady_clock::time_point end;
+    if (raw) {
+      status = RawReplayAndServe(rw.worlds[0].get(), wal_dir, rw.probes[rep],
+                                 &end);
+    } else {
+      ShardedRuntime recovered(options);
+      status = rw.worlds[0]->RegisterAll(&recovered);
+      if (status.ok()) status = recovered.Start();
+      if (status.ok()) {
+        status = recovered.Recover(rw.worlds[0]->DefsByName());
+      }
+      Result<SubmitTicket> probe(Status::Unavailable("unsubmitted"));
+      if (status.ok()) {
+        probe = recovered.Submit(rw.probes[rep]);
+        if (!probe.ok()) status = probe.status();
+      }
+      if (status.ok()) {
+        auto pid = probe->Await();
+        if (!pid.ok()) status = pid.status();
+      }
+      end = std::chrono::steady_clock::now();
+      (void)recovered.Drain();
+      (void)recovered.Stop();
     }
-    if (status.ok()) {
-      auto pid = probe->Await();
-      if (!pid.ok()) status = pid.status();
-    }
-    const auto end = std::chrono::steady_clock::now();
-    (void)recovered.Drain();
-    (void)recovered.Stop();
     std::filesystem::remove_all(wal_dir);
     if (!status.ok()) {
       report.ok = false;
-      report.error = StrCat("cold restart probe (verify=", verify, ", rep=",
-                            rep, "): ", status.ToString());
+      report.error = StrCat("cold restart probe (raw=", raw, ", rep=", rep,
+                            "): ", status.ToString());
       return;
     }
     const double ms =
@@ -352,8 +387,8 @@ AvailabilityReport MeasureAvailability() {
   };
   // Both restarts compete with failover and with each other, so best-of
   // applies to both.
-  cold_restart(true, kRepetitions, &report.recovery_verified_ms);
-  cold_restart(false, kRepetitions, &report.recovery_raw_ms);
+  cold_restart(/*raw=*/false, kRepetitions, &report.recovery_verified_ms);
+  cold_restart(/*raw=*/true, kRepetitions, &report.recovery_raw_ms);
   return report;
 }
 
@@ -410,10 +445,10 @@ int main(int argc, char** argv) {
     std::cout << std::fixed << std::setprecision(3);
     std::cout << "  hot failover  (R=3, promote live follower):        "
               << std::setw(10) << avail.failover_ms << " ms\n";
-    std::cout << "  cold restart  (R=1, raw WAL replay):               "
+    std::cout << "  cold restart  (raw WAL replay, bare schedulers):   "
               << std::setw(10) << avail.recovery_raw_ms << " ms  ("
               << avail.wal_records_replayed << " processes replayed)\n";
-    std::cout << "  cold restart  (R=1, replay + PRED/Proc-REC check): "
+    std::cout << "  cold restart  (R=1 runtime, certified Recover):    "
               << std::setw(10) << avail.recovery_verified_ms << " ms\n";
   } else {
     std::cout << "  [FAILED: " << avail.error << "]\n";
@@ -424,17 +459,17 @@ int main(int argc, char** argv) {
                                ? avail.recovery_raw_ms / avail.failover_ms
                                : 0.0;
   std::cout << "\n  headline: failover vs the cheapest cold restart (raw "
-               "replay, no self-check): "
+               "replay on bare schedulers, uncertified): "
             << std::fixed << std::setprecision(1) << raw_ratio
             << "x faster (require strictly faster) "
             << (headline_pass ? "[OK]" : "[FAIL]") << "\n";
   std::cout <<
       "\n  expected shape: failover is a promotion — the follower already\n"
       "  holds the full executed state, so the latency is one round of\n"
-      "  bookkeeping; cold restart pays runtime re-construction plus a\n"
-      "  WAL replay that grows with history length, and the production\n"
-      "  default additionally re-verifies PRED + Proc-REC over the whole\n"
-      "  recovered history. The gap widens with workload size.\n";
+      "  bookkeeping; cold restart pays at least a WAL replay that grows\n"
+      "  with history length, and the runtime adds its re-construction and\n"
+      "  certifies PRED + Proc-REC over every recovered shard history. The\n"
+      "  gap widens with workload size.\n";
 
   const bool pass = all_ok && headline_pass;
 
@@ -451,8 +486,10 @@ int main(int argc, char** argv) {
       "quiescence at replication factor 1/2/3 (mirror worlds per replica), "
       "best of 3, throughput = committed / best seconds; part 2: hot "
       "failover = KillReplica(acting primary) to first probe served under "
-      "R=3, cold restart = fresh runtime + Start + Recover(full file WAL) "
-      "to first probe served under R=1, both best of 3");
+      "R=3, cold restart = fresh runtime + Start + certified Recover(full "
+      "file WAL) to first probe served under R=1, raw = each shard's WAL "
+      "file replayed on a bare scheduler (Recover, uncertified) to the "
+      "probe admitted, all best of 3");
   writer.Field("hardware_threads", hw);
   writer.BeginArray("overhead_runs");
   for (const RunReport& report : reports) {

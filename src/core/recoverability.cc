@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/str_util.h"
+#include "core/pred.h"
 #include "core/service_table.h"
 
 namespace tpm {
@@ -98,6 +99,23 @@ ProcRecOutcome AnalyzeProcessRecoverability(const ProcessSchedule& schedule,
 bool IsProcessRecoverable(const ProcessSchedule& schedule,
                           const ConflictSpec& spec) {
   return AnalyzeProcessRecoverability(schedule, spec).process_recoverable;
+}
+
+Status CertifyRecovered(const ProcessSchedule& schedule,
+                        const ConflictSpec& spec) {
+  TPM_ASSIGN_OR_RETURN(PredOutcome pred, AnalyzePRED(schedule, spec));
+  if (!pred.prefix_reducible) {
+    return Status::Internal(
+        StrCat("recovered history is ", pred.ToString()));
+  }
+  ProcRecOutcome rec =
+      AnalyzeProcessRecoverability(CommittedProjection(schedule), spec);
+  if (!rec.process_recoverable) {
+    return Status::Internal(
+        StrCat("recovered committed projection is not Proc-REC: ",
+               rec.violations.front().ToString()));
+  }
+  return Status::OK();
 }
 
 }  // namespace tpm

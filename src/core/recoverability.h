@@ -49,6 +49,15 @@ ProcRecOutcome AnalyzeProcessRecoverability(const ProcessSchedule& schedule,
 bool IsProcessRecoverable(const ProcessSchedule& schedule,
                           const ConflictSpec& spec);
 
+/// The correctness criterion a recovered history must meet (Def. 10/11,
+/// Theorem 1): PRED on the full `schedule` and Proc-REC on its committed
+/// projection. Every recovery boundary certifies through this one check —
+/// shard replay, replica respawn, the global merged projection of spanning
+/// processes and a migration's merged target history. Returns Internal
+/// naming the criterion that failed and its witness.
+Status CertifyRecovered(const ProcessSchedule& schedule,
+                        const ConflictSpec& spec);
+
 }  // namespace tpm
 
 #endif  // TPM_CORE_RECOVERABILITY_H_

@@ -784,6 +784,12 @@ Result<bool> TransactionalProcessScheduler::ExecuteActivity(ProcessRuntime& rt,
   return true;
 }
 
+namespace {
+/// Safety cap on re-invocations of a retriable activity (Def. 3 promises
+/// it commits after finitely many): past it the subsystem is at fault.
+constexpr int kMaxRetries = 1000;
+}  // namespace
+
 Status TransactionalProcessScheduler::HandleInvocationAbort(ProcessRuntime& rt,
                                                             ActivityId act) {
   // The local transaction aborted: record the effect-free invocation.
@@ -797,10 +803,10 @@ Status TransactionalProcessScheduler::HandleInvocationAbort(ProcessRuntime& rt,
   if (IsRetriableKind(decl.kind)) {
     // Def. 3: guaranteed to commit after finitely many invocations; keep it
     // ready and re-invoke on a later pass.
-    if (++rt.retries[act] > options_.max_retries) {
+    if (++rt.retries[act] > kMaxRetries) {
       return Status::Internal(
           StrCat("retriable activity a", act, " of P", rt.pid, " exceeded ",
-                 options_.max_retries,
+                 kMaxRetries,
                  " retries; the subsystem violates Def. 3"));
     }
     return Status::OK();
@@ -1129,7 +1135,7 @@ Result<bool> TransactionalProcessScheduler::ExecuteCompletionStep(
       // forward completion steps are retriable by the well-formed flex
       // structure: re-invoke on a later pass.
       ++stats_.failed_invocations;
-      if (++rt.retries[step.activity] > options_.max_retries) {
+      if (++rt.retries[step.activity] > kMaxRetries) {
         return Status::Internal(
             StrCat("completion step for a", step.activity, " of P", rt.pid,
                    " exceeded retry cap"));
@@ -2016,7 +2022,7 @@ Status TransactionalProcessScheduler::Recover(
     if (inverse) {
       TPM_RETURN_IF_ERROR(LogCompensationIntent(pid, activity));
     }
-    for (int attempt = 0; attempt <= options_.max_retries; ++attempt) {
+    for (int attempt = 0; attempt <= kMaxRetries; ++attempt) {
       Result<InvocationOutcome> outcome =
           subsystem->Invoke(service, request);
       if (outcome.ok()) {

@@ -82,8 +82,6 @@ struct SchedulerOptions {
   /// processes are in flight, quadratic with many), and a run repeats it
   /// per event — tests/small workloads only.
   bool certify_prefixes = false;
-  /// Safety cap on re-invocations of a retriable activity.
-  int max_retries = 1000;
   /// Virtual-time cost model: how many clock ticks an invocation of each
   /// service occupies its process (default 1 for unlisted services). The
   /// scheduler's clock advances one tick per pass; a process busy with a

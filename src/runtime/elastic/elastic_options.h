@@ -64,10 +64,6 @@ struct ElasticOptions {
   /// from the WAL plus "elastic/quiesced|import|imported|strip|stripped|
   /// flipped" around the cross-log surgery).
   CrashPointListener* crash_listener = nullptr;
-  /// Bound on submissions buffered against the migration target while a
-  /// component is mid-migration; beyond it producers get
-  /// ResourceExhausted (the same shedding contract as a full queue).
-  size_t migration_buffer_capacity = 1024;
 };
 
 }  // namespace tpm

@@ -7,7 +7,6 @@
 #include <thread>
 
 #include "common/str_util.h"
-#include "core/pred.h"
 #include "core/recoverability.h"
 #include "core/schedule.h"
 
@@ -19,6 +18,10 @@ constexpr const char* kRecCut = "MCUT";
 constexpr const char* kRecFlip = "MFLIP";
 constexpr const char* kRecAbort = "MABORT";
 constexpr const char* kRecEnd = "MEND";
+// Submissions buffered against the migration target while a component is
+// mid-migration; beyond it producers get ResourceExhausted (the same
+// shedding contract as a full queue).
+constexpr size_t kBufferCapacity = 1024;
 
 }  // namespace
 
@@ -346,7 +349,7 @@ Result<int> MigrationEngine::Buffer(Submission submission) {
   if (active_ == nullptr) {
     return Status::Internal("Buffer with no active migration");
   }
-  if (active_->fresh.size() >= options_.buffer_capacity) {
+  if (active_->fresh.size() >= kBufferCapacity) {
     return Status::ResourceExhausted("migration buffer full");
   }
   const int to = active_->to;
@@ -537,16 +540,10 @@ Status MigrationEngine::VerifyRecords(
             "cross-shard vote records cannot migrate");
     }
   }
-  TPM_ASSIGN_OR_RETURN(bool pred, IsPRED(schedule, *options_.spec));
-  if (!pred) {
-    return Status::Internal("merged migration history is not PRED");
-  }
-  if (!IsProcessRecoverable(CommittedProjection(schedule),
-                            *options_.spec)) {
-    return Status::Internal(
-        "merged migration committed projection is not Proc-REC");
-  }
-  return Status::OK();
+  Status certified = CertifyRecovered(schedule, *options_.spec);
+  if (certified.ok()) return certified;
+  return Status(certified.code(),
+                StrCat("merged migration history: ", certified.message()));
 }
 
 Status MigrationEngine::RunPrepare(RuntimeShard* src, RuntimeShard* dst) {
@@ -613,17 +610,13 @@ Status MigrationEngine::RunPrepare(RuntimeShard* src, RuntimeShard* dst) {
   cut.src_pids.assign(moved_pids.begin(), moved_pids.end());
   TPM_RETURN_IF_ERROR(AppendRecord(cut));
 
-  // Merge + offline re-verification before anything mutates. The merged
-  // vector is a throwaway snapshot-plus-copies for verification only; the
+  // Merge + offline certification before anything mutates. The merged
+  // vector is a throwaway snapshot-plus-copies for certification only; the
   // durable import below re-reads inside one worker command.
-  if (options_.verify) {
-    std::vector<SchedulerLogRecord> merged;
-    TPM_RETURN_IF_ERROR(ReadShardRecords(dst, &merged));
-    for (const SchedulerLogRecord& record : segment) {
-      merged.push_back(record);
-    }
-    TPM_RETURN_IF_ERROR(VerifyRecords(merged));
-  }
+  std::vector<SchedulerLogRecord> merged;
+  TPM_RETURN_IF_ERROR(ReadShardRecords(dst, &merged));
+  merged.insert(merged.end(), segment.begin(), segment.end());
+  TPM_RETURN_IF_ERROR(VerifyRecords(merged));
 
   // Import on the target (durable, atomic). The source strip in RunCommit
   // removes the moved pids by id — the source keeps running its other

@@ -60,10 +60,10 @@ struct MigrationRecord {
 /// source queue past a marker and wait until no active process on the
 /// source touches the component; cut the component's segment out of the
 /// source WAL, renumbered into a pid range reserved on the target (MCUT);
-/// re-verify PRED + Proc-REC on the target's would-be merged history
-/// offline; import the merged log on the target; MFLIP (the decision);
-/// strip the segment from the source WAL; move the component's subsystem
-/// registrations; flip the router remap and flush the buffered
+/// certify PRED + Proc-REC on the target's would-be merged history
+/// offline (always); import the merged log on the target; MFLIP (the
+/// decision); strip the segment from the source WAL; move the component's
+/// subsystem registrations; flip the router remap and flush the buffered
 /// submissions to the target; MEND.
 ///
 /// Crash safety: MFLIP is the decision record. Recovery scan + fix-ups
@@ -81,11 +81,7 @@ class MigrationEngine {
     ShardLogMode log_mode = ShardLogMode::kMemory;
     std::string wal_dir;  // kFile only: the log is <wal_dir>/elastic.wal
     CrashPointListener* crash_listener = nullptr;
-    size_t buffer_capacity = 1024;
     TickMode mode = TickMode::kFreeRunning;
-    /// Run the offline PRED + Proc-REC check on the merged target history
-    /// before importing (mirrors ShardedRuntimeOptions::verify_recovery).
-    bool verify = true;
     const ConflictSpec* spec = nullptr;
     ShardRouter* router = nullptr;
     std::vector<std::unique_ptr<RuntimeShard>>* shards = nullptr;
@@ -248,9 +244,9 @@ class MigrationEngine {
   int ComponentOfDefName(const std::string& name) const;
   const ProcessDef* DefOfName(const std::string& name) const;
 
-  /// Offline re-verification of a would-be shard history: replays the
-  /// records into a ProcessSchedule and checks PRED + Proc-REC (committed
-  /// projection) under the union spec.
+  /// Offline certification of a would-be shard history: replays the
+  /// records into a ProcessSchedule and certifies it (CertifyRecovered)
+  /// under the union spec.
   Status VerifyRecords(const std::vector<SchedulerLogRecord>& records) const;
 
   /// Reads a shard's WAL on its worker thread (logs are worker-owned

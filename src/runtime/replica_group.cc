@@ -751,9 +751,9 @@ Status ReplicaGroup::Respawn(
   }
 
   // 2. WAL: restart it if the kill crashed it, then take the peer's
-  //    records verbatim — Recover below replays them for scheduler-side
-  //    continuity (foremost next_pid_: replicas must keep minting
-  //    identical pids after the respawn).
+  //    records verbatim — RecoverShard below replays them for
+  //    scheduler-side continuity (foremost next_pid_: replicas must keep
+  //    minting identical pids after the respawn) and certifies the result.
   if (rep.log->wal()->crashed()) rep.log->wal()->Crash();
   TPM_ASSIGN_OR_RETURN(std::vector<SchedulerLogRecord> records,
                        peer.log->Records());
@@ -771,7 +771,9 @@ Status ReplicaGroup::Respawn(
     rep.scheduler->AddConflict(a, b);
   }
   rep.scheduler->AddObserver(rep.gate.get());
-  TPM_RETURN_IF_ERROR(rep.scheduler->Recover(defs_by_name));
+  TPM_RETURN_IF_ERROR(RecoverShard(*rep.scheduler, defs_by_name,
+                                   /*directives=*/nullptr,
+                                   options_.shard_index));
   if (rep.clock.now() < peer.clock.now()) {
     rep.clock.AdvanceTo(peer.clock.now());
   }

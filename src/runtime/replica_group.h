@@ -198,10 +198,11 @@ class ReplicaGroup {
 
   /// Rebuilds a dead replica from the acting primary while the group is
   /// idle: adopts every subsystem's state, copies the peer's WAL (pid
-  /// continuity), builds a fresh scheduler, syncs the clock, re-baselines
-  /// every live replica's digests (votes then compare only the
-  /// post-respawn suffix) and rejoins at the current round. The eviction/
-  /// failover counters keep their history.
+  /// continuity), builds a fresh scheduler that replays and certifies it
+  /// (RecoverShard), syncs the clock, re-baselines every live replica's
+  /// digests (votes then compare only the post-respawn suffix) and rejoins
+  /// at the current round. The eviction/failover counters keep their
+  /// history.
   Status Respawn(int r,
                  const std::map<std::string, const ProcessDef*>& defs_by_name);
 

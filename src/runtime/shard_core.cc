@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "common/str_util.h"
+#include "core/recoverability.h"
 #include "log/file_backend.h"
 #include "log/wal.h"
 
@@ -66,6 +67,19 @@ Result<bool> AdmitAndStep(
     TPM_ASSIGN_OR_RETURN(has_work, scheduler.Step());
   }
   return has_work;
+}
+
+Status RecoverShard(
+    TransactionalProcessScheduler& scheduler,
+    const std::map<std::string, const ProcessDef*>& defs_by_name,
+    const TransactionalProcessScheduler::RecoverDirectives* directives,
+    int shard) {
+  Status status = scheduler.Recover(defs_by_name, directives);
+  if (status.ok()) {
+    status = CertifyRecovered(scheduler.history(), scheduler.conflict_spec());
+  }
+  if (status.ok()) return status;
+  return Status(status.code(), StrCat("shard ", shard, ": ", status.message()));
 }
 
 }  // namespace tpm

@@ -2,6 +2,7 @@
 #define TPM_RUNTIME_SHARD_CORE_H_
 
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -49,6 +50,18 @@ Result<bool> AdmitAndStep(
     const std::vector<Submission>& submissions, bool had_work,
     bool to_quiescence,
     const std::function<Status(std::vector<Result<ProcessId>>)>& admitted);
+
+/// A shard's one recovery step, run per shard (per live replica) by
+/// ShardedRuntime::Recover and by ReplicaGroup::Respawn: replays the
+/// scheduler's recovery log (TransactionalProcessScheduler::Recover, under
+/// the coordinator's `directives` when given), then certifies the
+/// recovered history (CertifyRecovered: PRED + Proc-REC). Errors name
+/// `shard`.
+Status RecoverShard(
+    TransactionalProcessScheduler& scheduler,
+    const std::map<std::string, const ProcessDef*>& defs_by_name,
+    const TransactionalProcessScheduler::RecoverDirectives* directives,
+    int shard);
 
 }  // namespace tpm
 

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/str_util.h"
-#include "core/pred.h"
 #include "core/recoverability.h"
 #include "core/schedule.h"
 
@@ -272,9 +271,7 @@ Status ShardedRuntime::Start() {
     engine_options.log_mode = options_.log_mode;
     engine_options.wal_dir = options_.wal_dir;
     engine_options.crash_listener = options_.elastic.crash_listener;
-    engine_options.buffer_capacity = options_.elastic.migration_buffer_capacity;
     engine_options.mode = options_.mode;
-    engine_options.verify = options_.verify_recovery;
     engine_options.spec = &union_spec_;
     engine_options.router = router_.get();
     engine_options.shards = &shards_;
@@ -769,39 +766,18 @@ Status ShardedRuntime::Recover(
   span_info = agent_->ProjectionInfo();
 
   // Fan the replay out: every shard worker replays its own WAL
-  // concurrently, then self-checks the recovered history. The command runs
-  // on the worker thread, so the scheduler's thread affinity holds.
-  const bool verify = options_.verify_recovery;
+  // concurrently, then certifies the recovered history (RecoverShard). The
+  // command runs on the worker thread, so the scheduler's thread affinity
+  // holds.
   for (auto& shard : shards_) {
     const int index = shard->index();
     // PostSchedulerCommand: on a replicated shard the closure runs once
     // per live replica, each against its own scheduler and private WAL.
-    shard->PostSchedulerCommand([&all_defs, &directives, verify,
-                                 index](TransactionalProcessScheduler*
-                                            scheduler) {
-      Status replayed = scheduler->Recover(all_defs, &directives);
-      if (!replayed.ok()) {
-        return Status(replayed.code(), StrCat("shard ", index, ": ",
-                                              replayed.message()));
-      }
-      if (!verify) return Status::OK();
-      // Post-recovery self-check, per shard: PRED on the full recovered
-      // history, Proc-REC on its committed projection (the same pair of
-      // criteria the chaos suites assert).
-      TPM_ASSIGN_OR_RETURN(
-          bool pred, IsPRED(scheduler->history(), scheduler->conflict_spec()));
-      if (!pred) {
-        return Status::Internal(
-            StrCat("shard ", index, ": recovered history is not PRED"));
-      }
-      if (!IsProcessRecoverable(CommittedProjection(scheduler->history()),
-                                scheduler->conflict_spec())) {
-        return Status::Internal(
-            StrCat("shard ", index,
-                   ": recovered committed projection is not Proc-REC"));
-      }
-      return Status::OK();
-    });
+    shard->PostSchedulerCommand(
+        [&all_defs, &directives, index](
+            TransactionalProcessScheduler* scheduler) {
+          return RecoverShard(*scheduler, all_defs, &directives, index);
+        });
   }
   Status first_error;
   for (auto& shard : shards_) {
@@ -813,7 +789,7 @@ Status ShardedRuntime::Recover(
   // decision record is now decided aborted (its votes were just rolled
   // back by the shard replays).
   TPM_RETURN_IF_ERROR(agent_->FinishRecovery());
-  if (!verify || span_info.empty()) return Status::OK();
+  if (span_info.empty()) return Status::OK();
 
   // The global assertion (DESIGN.md §4h): merge the per-shard recovery
   // histories — reassembling every spanning process into one global
@@ -842,15 +818,9 @@ Status ShardedRuntime::Recover(
   }
   TPM_ASSIGN_OR_RETURN(ProcessSchedule global,
                        MergeGlobalProjection(history_ptrs, span_info));
-  TPM_ASSIGN_OR_RETURN(bool pred, IsPRED(global, union_spec_));
-  if (!pred) {
-    return Status::Internal("global recovered history is not PRED");
-  }
-  if (!IsProcessRecoverable(CommittedProjection(global), union_spec_)) {
-    return Status::Internal(
-        "global recovered committed projection is not Proc-REC");
-  }
-  return Status::OK();
+  Status certified = CertifyRecovered(global, union_spec_);
+  if (certified.ok()) return certified;
+  return Status(certified.code(), StrCat("global: ", certified.message()));
 }
 
 Status ShardedRuntime::Stop() {
@@ -1059,6 +1029,11 @@ Result<ProcessSchedule> ShardedRuntime::GlobalProjection() {
     return Status::FailedPrecondition(
         "GlobalProjection before Stop (the shard schedulers must be "
         "quiesced)");
+  }
+  if (options_.scheduler.reclaim_terminated) {
+    return Status::FailedPrecondition(
+        "GlobalProjection is unsupported with scheduler.reclaim_terminated "
+        "(reclaimed processes are compacted out of the shard histories)");
   }
   std::vector<const ProcessSchedule*> histories;
   histories.reserve(shards_.size());

@@ -84,11 +84,6 @@ struct ShardedRuntimeOptions {
   /// recomputes the same partition, reuniting each WAL with its services.
   ShardLogMode log_mode = ShardLogMode::kMemory;
   std::string wal_dir;
-  /// After Recover, re-verify each shard's recovery history: PRED on the
-  /// full history and Proc-REC on its committed projection. With spanning
-  /// processes, additionally PRED + Proc-REC on the GLOBAL committed
-  /// projection (the per-shard histories merged by MergeGlobalProjection).
-  bool verify_recovery = true;
   /// §3.6 composite order between the order-independent sub-processes of
   /// one spanning process: kWeak runs them in parallel, kStrong strictly
   /// one after the other's prepared vote.
@@ -213,14 +208,14 @@ class ShardedRuntime {
   /// deterministically, and durably decided commits become force-commit
   /// directives. Then every shard worker replays its own WAL CONCURRENTLY
   /// (scheduler Recover: rebuild states, force-commit directed in-doubt
-  /// votes, group abort of everything else in flight), then — with
-  /// verify_recovery — asserts PRED on the shard's recovery history and
-  /// Proc-REC on its committed projection. Undecided spanning processes
-  /// are then presumed aborted (durably, FinishRecovery), and with
-  /// spanning processes present the GLOBAL merged projection is verified
-  /// PRED + Proc-REC too. Call after Start on a runtime whose WAL files
-  /// (and subsystems) survive from the crashed incarnation, before
-  /// submitting new work.
+  /// votes, group abort of everything else in flight), then certifies the
+  /// shard's recovery history (CertifyRecovered: PRED on the full history,
+  /// Proc-REC on its committed projection; Internal naming the shard
+  /// otherwise). Undecided spanning processes are then presumed aborted
+  /// (durably, FinishRecovery), and with spanning processes present the
+  /// GLOBAL merged projection is certified too. Call after Start on a
+  /// runtime whose WAL files (and subsystems) survive from the crashed
+  /// incarnation, before submitting new work.
   Status Recover(const std::map<std::string, const ProcessDef*>& defs_by_name);
 
   /// Stops all workers WITHOUT draining queued work (kill semantics; call
@@ -293,7 +288,9 @@ class ShardedRuntime {
   /// histories merged, with every spanning process reassembled into one
   /// global process. Call after Stop (the shard schedulers must be
   /// quiesced). Fails with Internal if a spanning process is
-  /// half-committed — the cross-shard atomicity assertion.
+  /// half-committed — the cross-shard atomicity assertion — and with
+  /// FailedPrecondition under scheduler.reclaim_terminated, whose shard
+  /// histories no longer hold the reclaimed processes.
   Result<ProcessSchedule> GlobalProjection();
 
  private:

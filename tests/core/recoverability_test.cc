@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/figures.h"
+#include "core/pred.h"
 
 namespace tpm {
 namespace {
@@ -104,6 +105,49 @@ TEST_F(RecoverabilityTest, AbortedInvocationsIgnored) {
                   .ok());
   ASSERT_TRUE(s.Append(ScheduleEvent::Commit(kP2)).ok());
   EXPECT_TRUE(IsProcessRecoverable(s, world_.spec));
+}
+
+// CertifyRecovered checks PRED first. Example 8: S_t2 is RED but not PRED
+// (its prefix S_t1 does not reduce), so certification fails on PRED and
+// names it.
+TEST_F(RecoverabilityTest, CertifyRecoveredRejectsRedButNotPred) {
+  ProcessSchedule s = figures::MakeScheduleSt2(world_);
+  Status certified = CertifyRecovered(s, world_.spec);
+  EXPECT_EQ(certified.code(), StatusCode::kInternal) << certified;
+  EXPECT_NE(certified.message().find("not PRED"), std::string::npos)
+      << certified;
+  EXPECT_EQ(certified.message().find("Proc-REC"), std::string::npos)
+      << certified;
+}
+
+// Figure 9 run to the end with P3 committing first: the pivot a12
+// quasi-commits a11, so the history is PRED (Example 10), but a11 <<_S a31
+// with C3 before C1 breaks clause 1 of Def. 11 on the committed
+// projection — certification fails on Proc-REC and names it.
+TEST_F(RecoverabilityTest, CertifyRecoveredRejectsCommittedNotProcRec) {
+  ProcessSchedule s = figures::MakeScheduleStar(world_);
+  for (int activity : {2, 3}) {
+    ASSERT_TRUE(s.Append(ScheduleEvent::Activity(ActivityInstance{
+                             figures::kP3, ActivityId(activity), false}))
+                    .ok());
+  }
+  ASSERT_TRUE(s.Append(ScheduleEvent::Commit(figures::kP3)).ok());
+  for (int activity : {3, 4}) {
+    ASSERT_TRUE(s.Append(ScheduleEvent::Activity(ActivityInstance{
+                             kP1, ActivityId(activity), false}))
+                    .ok());
+  }
+  ASSERT_TRUE(s.Append(ScheduleEvent::Commit(kP1)).ok());
+  auto pred = IsPRED(s, world_.spec);
+  ASSERT_TRUE(pred.ok()) << pred.status();
+  ASSERT_TRUE(*pred) << s.ToString();
+
+  Status certified = CertifyRecovered(s, world_.spec);
+  EXPECT_EQ(certified.code(), StatusCode::kInternal) << certified;
+  EXPECT_NE(certified.message().find("not Proc-REC"), std::string::npos)
+      << certified;
+  EXPECT_NE(certified.message().find("clause 1"), std::string::npos)
+      << certified;
 }
 
 }  // namespace

@@ -386,5 +386,47 @@ TEST(CrossShardTest, FreeRunningSpanningSoakIsGloballyCorrect) {
       IsProcessRecoverable(CommittedProjection(*global), runtime.union_spec()));
 }
 
+// GlobalProjection merges the shard histories, which bounded-memory mode
+// compacts: with scheduler.reclaim_terminated it must refuse up front
+// (FailedPrecondition naming the option) instead of failing the merge on a
+// reclaimed process.
+TEST(CrossShardTest, GlobalProjectionRejectsReclaimTerminated) {
+  for (bool reclaim : {false, true}) {
+    SCOPED_TRACE(StrCat("reclaim_terminated=", reclaim));
+    ShardedWorld world({.seed = 23, .num_tenants = 2});
+    std::vector<const ProcessDef*> defs;
+    for (int i = 0; i < 40; ++i) {
+      defs.push_back(world.MakeOrderProcess(i % 2, StrCat("order_", i)));
+    }
+    for (int i = 0; i < 20; ++i) {
+      defs.push_back(world.MakeSpanningProcess(StrCat("span_", i), 0, 1));
+    }
+    ShardedRuntimeOptions options;
+    options.num_shards = 2;
+    options.mode = TickMode::kFreeRunning;
+    options.scheduler.reclaim_terminated = reclaim;
+    ShardedRuntime runtime(options);
+    ASSERT_TRUE(world.RegisterAll(&runtime).ok());
+    ASSERT_TRUE(runtime.Start().ok());
+    for (const ProcessDef* def : defs) {
+      ASSERT_NE(def, nullptr);
+      ASSERT_TRUE(runtime.Submit(def).ok());
+    }
+    ASSERT_TRUE(runtime.Drain().ok());
+    ASSERT_TRUE(runtime.Stop().ok());
+    auto global = runtime.GlobalProjection();
+    if (reclaim) {
+      EXPECT_EQ(global.status().code(), StatusCode::kFailedPrecondition)
+          << global.status();
+      EXPECT_NE(global.status().message().find("reclaim_terminated"),
+                std::string::npos)
+          << global.status();
+    } else {
+      ASSERT_TRUE(global.ok()) << global.status();
+      EXPECT_GT(global->size(), 0u);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace tpm

@@ -1,7 +1,7 @@
 // Elastic crash recovery: the migration WAL (MBEGIN/MCUT/MFLIP/MEND) must
 // make quiesce-and-migrate atomic across a crash at EVERY crash point —
 // after recovery the component is owned by exactly one shard, every shard
-// WAL verifies (PRED + Proc-REC via verify_recovery), and the ADT
+// WAL certifies (PRED + Proc-REC, CertifyRecovered), and the ADT
 // invariants hold. Plus a seeded chaos soak of migration under concurrent
 // producers with a restart per iteration.
 

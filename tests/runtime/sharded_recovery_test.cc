@@ -10,7 +10,9 @@
 #include "core/pred.h"
 #include "core/recoverability.h"
 #include "core/schedule.h"
+#include "runtime/shard_core.h"
 #include "runtime/sharded_runtime.h"
+#include "testing/mini_world.h"
 #include "workload/sharded_world.h"
 
 namespace tpm {
@@ -82,9 +84,9 @@ TEST(ShardedRecoveryTest, KillAtEveryTickRecoversEveryShard) {
     ASSERT_TRUE(world.RegisterAll(&recovered).ok());
     ASSERT_TRUE(recovered.Start().ok());
     auto defs_by_name = world.DefsByName();
-    // Recover replays all shard WALs concurrently; with verify_recovery
-    // (default) each shard asserts PRED + Proc-REC on its own recovered
-    // history before reporting success.
+    // Recover replays all shard WALs concurrently; each shard certifies
+    // PRED + Proc-REC on its own recovered history before reporting
+    // success.
     ASSERT_TRUE(recovered.Recover(defs_by_name).ok());
 
     // The ADT invariants must hold across every tenant after recovery.
@@ -101,7 +103,7 @@ TEST(ShardedRecoveryTest, KillAtEveryTickRecoversEveryShard) {
     EXPECT_EQ(recovered.shard_scheduler(ticket->shard)->OutcomeOf(*pid),
               ProcessOutcome::kCommitted);
     // Explicit re-check from the outside, same criteria the internal
-    // verify ran: PRED on each shard history, Proc-REC on its committed
+    // certification ran: PRED on each shard history, Proc-REC on its committed
     // projection.
     for (int s = 0; s < kShards; ++s) {
       TransactionalProcessScheduler* scheduler = recovered.shard_scheduler(s);
@@ -197,6 +199,55 @@ TEST(ShardedRecoveryTest, ReportsWhichShardFailsVerification) {
   Status status = recovered.Recover(empty);
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.message().find("shard "), std::string::npos) << status;
+  ASSERT_TRUE(recovered.Stop().ok());
+  std::filesystem::remove_all(wal_dir);
+}
+
+// A forged shard WAL that replays cleanly but records a non-PRED history:
+// P2 overwrites P1's compensatable c:x and commits while P1 is still
+// backward-recoverable, so the completed prefix up to C2 cannot undo a11.
+// Replay alone accepts it; the shard's certification must reject it with
+// Internal naming the shard.
+TEST(ShardedRecoveryTest, ForgedNonPredWalFailsCertification) {
+  const std::string wal_dir = FreshWalDir("forged");
+  std::filesystem::create_directories(wal_dir);
+  testing::MiniWorld world;
+  const ProcessDef* p1 = world.MakeChain("p1", "c:x p:y");
+  const ProcessDef* p2 = world.MakeChain("p2", "c:x p:z");
+  ASSERT_NE(p1, nullptr);
+  ASSERT_NE(p2, nullptr);
+  {
+    auto log = OpenShardLog(ShardLogMode::kFile, wal_dir, 0, /*replica=*/-1);
+    ASSERT_TRUE(log.ok()) << log.status();
+    using Kind = SchedulerLogRecord::Kind;
+    const std::vector<SchedulerLogRecord> records = {
+        {Kind::kProcessBegin, ProcessId(1), ActivityId(), "p1", 0},
+        {Kind::kProcessBegin, ProcessId(2), ActivityId(), "p2", 0},
+        {Kind::kActivityCommitted, ProcessId(1), ActivityId(1), "", 0},
+        {Kind::kActivityCommitted, ProcessId(2), ActivityId(1), "", 0},
+        {Kind::kActivityCommitted, ProcessId(2), ActivityId(2), "", 0},
+        {Kind::kProcessCommitted, ProcessId(2), ActivityId(), "", 0},
+        {Kind::kActivityCommitted, ProcessId(1), ActivityId(2), "", 0},
+        {Kind::kProcessCommitted, ProcessId(1), ActivityId(), "", 0},
+    };
+    for (const SchedulerLogRecord& record : records) {
+      ASSERT_TRUE((*log)->Append(record).ok());
+    }
+  }
+
+  ShardedRuntimeOptions options;
+  options.num_shards = 1;
+  options.mode = TickMode::kLockstep;
+  options.log_mode = ShardLogMode::kFile;
+  options.wal_dir = wal_dir;
+  ShardedRuntime recovered(options);
+  ASSERT_TRUE(recovered.AddSubsystem(world.subsystem()).ok());
+  ASSERT_TRUE(recovered.Start().ok());
+  Status status = recovered.Recover(world.DefsByName());
+  EXPECT_EQ(status.code(), StatusCode::kInternal) << status;
+  EXPECT_NE(status.message().find("shard 0: recovered history is not PRED"),
+            std::string::npos)
+      << status;
   ASSERT_TRUE(recovered.Stop().ok());
   std::filesystem::remove_all(wal_dir);
 }

@@ -25,17 +25,26 @@ int ConflictSpec::RegisterService(ServiceId service) {
 }
 
 bool ConflictSpec::TestBit(int a, int b) const {
-  const std::vector<uint64_t>& row = rows_[a];
-  size_t word = static_cast<size_t>(b) / 64;
-  if (word >= row.size()) return false;
-  return (row[word] >> (b % 64)) & 1;
+  const Row& row = rows_[a];
+  // Below `first` the unsigned offset wraps past the end: not set.
+  const size_t word = static_cast<size_t>(b / 64 - row.first);
+  if (word >= row.words.size()) return false;
+  return (row.words[word] >> (b % 64)) & 1;
 }
 
 void ConflictSpec::SetBit(int a, int b) {
-  std::vector<uint64_t>& row = rows_[a];
-  size_t word = static_cast<size_t>(b) / 64;
-  if (word >= row.size()) row.resize(word + 1, 0);
-  row[word] |= uint64_t{1} << (b % 64);
+  Row& row = rows_[a];
+  const int word = b / 64;
+  if (row.words.empty()) {
+    row.first = word;
+  } else if (word < row.first) {
+    row.words.insert(row.words.begin(), static_cast<size_t>(row.first - word),
+                     0);
+    row.first = word;
+  }
+  const size_t offset = static_cast<size_t>(word - row.first);
+  if (offset >= row.words.size()) row.words.resize(offset + 1, 0);
+  row.words[offset] |= uint64_t{1} << (b % 64);
 }
 
 void ConflictSpec::AddConflict(ServiceId a, ServiceId b) {

@@ -167,11 +167,20 @@ class ConflictSpec {
   bool EffectiveConflict(int ia, int ib) const;
   void RebuildEffectivePartners() const;
 
+  /// One bitset adjacency row: bit b of the row is bit (b - 64 * first) of
+  /// `words`. A row spans only the words from its lowest to its highest
+  /// partner, so a service whose partners sit near it in the dense order
+  /// costs a few words — a row per service sized to its index would make a
+  /// spec of S services O(S^2) bits however few pairs it declares.
+  struct Row {
+    int first = 0;  // dense index / 64 of the row's first word
+    std::vector<uint64_t> words;
+  };
+
   std::unordered_map<ServiceId, int> index_of_;
   std::vector<ServiceId> services_;
-  /// Bitset adjacency: rows_[i] holds a bit per dense service index. Rows
-  /// grow lazily to the highest partner index set.
-  std::vector<std::vector<uint64_t>> rows_;
+  /// Bitset adjacency: rows_[i] holds the bits of service i's partners.
+  std::vector<Row> rows_;
   /// Raw service-level partner lists (pre-downgrade).
   std::vector<std::vector<ServiceId>> partners_;
   std::vector<bool> effect_free_;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <string_view>
+#include <unordered_map>
 
 #include "common/rng.h"
 #include "common/str_util.h"
@@ -60,27 +62,57 @@ std::vector<ServiceId> ServiceRegistry::AllIds() const {
 
 namespace {
 
-bool SetsIntersect(const std::vector<std::string>& a,
-                   const std::vector<std::string>& b) {
-  for (const auto& key : a) {
-    if (std::find(b.begin(), b.end(), key) != b.end()) return true;
-  }
-  return false;
+/// The services that read and that write one key, each in ascending id
+/// order without duplicates.
+struct KeyUsers {
+  std::vector<ServiceId> readers;
+  std::vector<ServiceId> writers;
+};
+
+void AppendOnce(std::vector<ServiceId>* users, ServiceId id) {
+  if (users->empty() || users->back() != id) users->push_back(id);
+}
+
+/// Appends the members of `users` (ascending) that are >= `from`.
+void AppendFrom(const std::vector<ServiceId>& users, ServiceId from,
+                std::vector<ServiceId>* out) {
+  out->insert(out->end(), std::lower_bound(users.begin(), users.end(), from),
+              users.end());
 }
 
 }  // namespace
 
 void ServiceRegistry::DeriveConflicts(ConflictSpec* spec) const {
+  // Conflict iff one's writes intersect the other's reads or writes, so
+  // every conflicting pair shares a key: index the keys once, then each
+  // service meets only the services that share a key with it.
+  std::unordered_map<std::string_view, KeyUsers> users_of;
+  for (const auto& [id, def] : services_) {
+    for (const auto& key : def.read_set) {
+      AppendOnce(&users_of[key].readers, id);
+    }
+    for (const auto& key : def.write_set) {
+      AppendOnce(&users_of[key].writers, id);
+    }
+  }
+  // Same call sequence as comparing every pair (a, b >= a) in id order, so
+  // the spec's dense order and partner lists do not depend on the index.
+  std::vector<ServiceId> partners;
   for (const auto& [id_a, a] : services_) {
     if (a.effect_free) spec->MarkEffectFree(id_a);
-    for (const auto& [id_b, b] : services_) {
-      if (id_b < id_a) continue;
-      // Conflict iff one's writes intersect the other's reads or writes.
-      const bool conflict = SetsIntersect(a.write_set, b.write_set) ||
-                            SetsIntersect(a.write_set, b.read_set) ||
-                            SetsIntersect(a.read_set, b.write_set);
-      if (conflict) spec->AddConflict(id_a, id_b);
+    partners.clear();
+    for (const auto& key : a.write_set) {
+      const KeyUsers& users = users_of.at(key);
+      AppendFrom(users.writers, id_a, &partners);
+      AppendFrom(users.readers, id_a, &partners);
     }
+    for (const auto& key : a.read_set) {
+      AppendFrom(users_of.at(key).writers, id_a, &partners);
+    }
+    std::sort(partners.begin(), partners.end());
+    partners.erase(std::unique(partners.begin(), partners.end()),
+                   partners.end());
+    for (ServiceId id_b : partners) spec->AddConflict(id_a, id_b);
   }
   // Op-kind metadata: bind services to interned op kinds and declare the
   // commuting pairs / inverse pairings, downgrading the conservative

@@ -93,6 +93,15 @@ class ServiceRegistry {
   /// from their read/write sets, marks declared effect-free services, and
   /// threads the op-kind metadata (bindings, commuting pairs, inverse
   /// pairings) into the spec's operation-level commutativity table.
+  ///
+  /// Conflict is a per-key relation, so the derivation indexes key ->
+  /// {readers, writers} and visits only services that share a key:
+  /// O(S + keys + pairs) rather than O(S^2) (up to the number of keys a
+  /// pair shares). It issues the same MarkEffectFree / AddConflict call
+  /// sequence as comparing every pair (a, b >= a) in ascending id order —
+  /// testing::DeriveConflictsAllPairs, the oracle it is tested against —
+  /// so dense indices, partner-list order and the pair count are those of
+  /// the all-pairs loop.
   void DeriveConflicts(ConflictSpec* spec) const;
 
  private:

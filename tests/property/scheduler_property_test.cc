@@ -19,6 +19,13 @@ struct WorkloadParams {
   uint64_t seed;
 };
 
+// Readable, stable test names (the default printer dumps the struct's
+// bytes, padding included).
+void PrintTo(const WorkloadParams& p, std::ostream* os) {
+  *os << "{procs=" << p.num_processes << " items=" << p.items
+      << " fail=" << p.failure_rate << " seed=" << p.seed << "}";
+}
+
 class SchedulerSweep : public ::testing::TestWithParam<WorkloadParams> {};
 
 TEST_P(SchedulerSweep, PredSchedulerEmitsPredHistories) {
